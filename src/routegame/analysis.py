@@ -25,7 +25,6 @@ from .calculus import (
 )
 from .equilibrium import (
     EquilibriumResult,
-    NotConverged,
     solve_equilibrium,
     solve_equilibrium_batch,
     wardrop_residual,
@@ -148,17 +147,16 @@ def sweep_alpha(
     tol: float = 1e-8,
     max_iters: int = 200_000,
     conditions: Optional[ConditionsReport] = None,
-    parallel_mode: bool = False,
     polish: bool = True,
     eps: float = SUPPORT_EPS,
 ) -> list[SweepRecord]:
     """Solve the equilibrium for every fleet share in the grid.
 
-    Default grid: 101 uniform points on [0, 1]. Sequential runs warm-start
-    each share from the previous flow; ``parallel_mode`` iterates all
-    shares in lock-step from cold starts instead (independent solves, same
-    unique loads). The conditions report and the system optimum are
-    computed once; per-share non-convergence is recorded, never raised.
+    Default grid: 101 uniform points on [0, 1]. All shares iterate in
+    lock-step from cold starts (``solve_equilibrium_batch``), so each
+    record is independent of its neighbours on the grid. The conditions
+    report and the system optimum are computed once; per-share
+    non-convergence is recorded, never raised.
     """
     od = _single_od(net)
     demand = float(D_total) if D_total is not None else od.demand_total
@@ -170,25 +168,10 @@ def sweep_alpha(
         conditions = check_conditions(net, demand)
     _, T_min = solve_system_optimum(net, inc, (base,))
 
-    results: list[EquilibriumResult] = []
-    if parallel_mode:
-        results = solve_equilibrium_batch(
-            net, inc, base, alphas, tol=tol, max_iters=max_iters,
-            conditions=conditions, polish=polish, eps=eps,
-        )
-    else:
-        warm: Optional[FlowProfile] = None
-        for alpha in alphas:
-            ods_a = (base.with_share(float(alpha)),)
-            try:
-                res = solve_equilibrium(
-                    net, inc, ods_a, tol=tol, max_iters=max_iters,
-                    conditions=conditions, init=warm, polish=polish, eps=eps,
-                )
-            except NotConverged as exc:
-                res = exc.result
-            results.append(res)
-            warm = res.z_star
+    results = solve_equilibrium_batch(
+        net, inc, base, alphas, tol=tol, max_iters=max_iters,
+        conditions=conditions, polish=polish, eps=eps,
+    )
 
     records = []
     for alpha, res in zip(alphas, results):

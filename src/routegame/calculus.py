@@ -139,13 +139,20 @@ def marginal_delay(delay: DelayPoly, fS_l: float, fC_l: float) -> float:
     return link_delay(delay, F, 0) + fC_l * link_delay(delay, F, 1)
 
 
+def link_costs(
+    coeffs: np.ndarray, fS: np.ndarray, fC: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Link delays d(F) and fleet marginal delays d(F) + fC * d'(F) at the
+    class loads (fS, fC), for a coefficient table; broadcasts like
+    ``poly_eval``."""
+    F = fS + fC
+    d = poly_eval(coeffs, F, 0)
+    return d, d + fC * poly_eval(coeffs, F, 1)
+
+
 def operator_H(net: Network, f: LoadProfile) -> np.ndarray:
     """Stacked game operator: link delays followed by marginal delays."""
-    coeffs = coefficient_table(net)
-    F = f.F
-    d = poly_eval(coeffs, F, 0)
-    m = d + f.fC * poly_eval(coeffs, F, 1)
-    return np.concatenate([d, m])
+    return np.concatenate(link_costs(coefficient_table(net), f.fS, f.fC))
 
 
 def class_costs(net: Network, f: LoadProfile) -> tuple[float, float]:
@@ -169,12 +176,6 @@ def total_delay(net: Network, f: LoadProfile) -> float:
     """Total delay sum_l F_l * d_l(F_l) experienced by all vehicles."""
     coeffs = coefficient_table(net)
     F = f.F
-    return float(np.sum(F * poly_eval(coeffs, F, 0)))
-
-
-def total_delay_aggregate(net: Network, F: np.ndarray) -> float:
-    """Total delay of an aggregate load vector."""
-    coeffs = coefficient_table(net)
     return float(np.sum(F * poly_eval(coeffs, F, 0)))
 
 
@@ -306,15 +307,6 @@ def check_conditions(
         lam_min_all = min(lam_min_all, lam_min)
         sigma_max_all = max(sigma_max_all, sigma_max)
 
-        # Cross-check: the unreduced condition d' > (1/4) dm/dfC equals a
-        # quarter of the reduced margin; the grid must never undercut the
-        # exact box minimum.
-        unreduced = _unreduced_margin_grid(coeffs[i], D_total, grid_points)
-        if unreduced < mono_val / 4.0 - 1e-12:
-            raise AssertionError(
-                f"condition margin cross-check failed on link '{link.id}'"
-            )
-
     convexity_ok = bool(convexity_min > tol)
     strong_mono_ok = bool(strong_min > tol)
     if convexity_ok and strong_mono_ok:
@@ -335,13 +327,3 @@ def check_conditions(
         box_demand=float(D_total),
     )
 
-
-def _unreduced_margin_grid(
-    poly_coeffs: np.ndarray, D: float, grid_points: int
-) -> float:
-    axis = np.linspace(0.0, D, grid_points)
-    x, y = np.meshgrid(axis, axis, indexing="ij")
-    F = x + y
-    p = poly_eval(poly_coeffs, F, 1)
-    w = 2.0 * p + y * poly_eval(poly_coeffs, F, 2)
-    return float((p - 0.25 * w).min())

@@ -3,13 +3,17 @@
 Reads network description files (strict JSON: nodes, links with 4-vector
 delay coefficients, OD pairs), dispatches the solver and analysis runs,
 and emits machine-readable results: CSV for sweeps, JSON mirroring the
-report types otherwise. All floating-point output uses 12 significant
-digits, so identical inputs produce byte-identical outputs. Progress and
-diagnostics go to standard error only.
+report types otherwise. The sweep-based commands (sweep, critical-share,
+monotonicity) solve all fleet shares of the grid in lock-step. All
+floating-point output uses 12 significant digits, so identical inputs
+produce byte-identical outputs. Progress and diagnostics go to standard
+error only.
 
 Exit codes: 0 success, 1 assumption violation (e.g. monotonicity on a
 non-parallel network without --exploratory, or failed operator
-conditions), 2 solver non-convergence, 3 I/O or parse failure.
+conditions), 2 solver non-convergence (also when any share of a sweep did
+not converge), 3 I/O, parse or validation failure, explained on a single
+stderr line.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -27,7 +32,7 @@ from . import analysis, oracle
 from .calculus import (
     check_conditions,
     coefficient_table,
-    poly_eval,
+    link_costs,
     total_delay,
 )
 from .equilibrium import (
@@ -71,7 +76,6 @@ class RunConfig:
     links: int = 3
     demand: float = 1.0
     exploratory: bool = False
-    parallel: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +96,17 @@ def parse_network_file(path: str) -> Network:
     net = _parse_structure(path)
     report = validate_network(net)
     if report:
-        raise NetworkFormatError(
-            f"{path}: invalid network:\n  " + "\n  ".join(report)
-        )
+        raise NetworkFormatError(_invalid_message(path, report))
     return net
 
 
-def _parse_structure(path: str) -> Network:
+def _invalid_message(path: str, report: list[str]) -> str:
+    return f"{path}: invalid network: " + "; ".join(report)
+
+
+def _parse_structure(path: Optional[str]) -> Network:
+    if not path:
+        raise NetworkFormatError("no network file given (use --network)")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -107,6 +115,8 @@ def _parse_structure(path: str) -> Network:
             f"{path}: syntax error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise NetworkFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
     if not isinstance(raw, dict):
         raise NetworkFormatError(f"{path}: top level must be an object")
@@ -117,9 +127,13 @@ def _parse_structure(path: str) -> Network:
     for key in ("nodes", "links", "od_pairs"):
         if key not in raw:
             raise NetworkFormatError(f"{path}: missing field '{key}'")
+        if not isinstance(raw[key], list):
+            raise NetworkFormatError(f"{path}: '{key}' must be a list")
 
     links = []
     for i, entry in enumerate(raw["links"]):
+        if not isinstance(entry, dict):
+            raise NetworkFormatError(f"{path}: link {i}: must be an object")
         unknown = set(entry) - _LINK_KEYS
         if unknown:
             raise NetworkFormatError(
@@ -135,11 +149,15 @@ def _parse_structure(path: str) -> Network:
         links.append(Link(
             id=str(entry["id"]), tail=str(entry["tail"]),
             head=str(entry["head"]),
-            delay=DelayPoly(tuple(float(c) for c in delay)),
+            delay=DelayPoly(tuple(
+                _number(c, f"{path}: link {i}: delay") for c in delay)),
         ))
 
     ods = []
     for i, entry in enumerate(raw["od_pairs"]):
+        if not isinstance(entry, dict):
+            raise NetworkFormatError(
+                f"{path}: od pair {i}: must be an object")
         unknown = set(entry) - _OD_KEYS
         if unknown:
             raise NetworkFormatError(
@@ -151,8 +169,10 @@ def _parse_structure(path: str) -> Network:
         ods.append(OdSpec(
             origin=str(entry["origin"]),
             destination=str(entry["destination"]),
-            demand_total=float(entry["demand"]),
-            fleet_share=float(entry.get("fleet_share", 0.0)),
+            demand_total=_number(entry["demand"],
+                                 f"{path}: od pair {i}: demand"),
+            fleet_share=_number(entry.get("fleet_share", 0.0),
+                                f"{path}: od pair {i}: fleet_share"),
         ))
 
     return Network(
@@ -161,6 +181,13 @@ def _parse_structure(path: str) -> Network:
         od_pairs=tuple(ods),
         name=str(raw.get("name", "")),
     )
+
+
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NetworkFormatError(f"{where}: {exc}") from exc
 
 
 def network_to_dict(net: Network) -> dict:
@@ -191,6 +218,8 @@ def gen_random_parallel(seed: int, n_links: int, D: float) -> Network:
     """
     if n_links < 2:
         raise ValueError("a parallel instance needs at least 2 links")
+    if not (math.isfinite(D) and D >= 0.0):
+        raise ValueError("demand must be finite and non-negative")
     rng = np.random.default_rng(seed)
     while True:
         delays = []
@@ -269,8 +298,6 @@ def _log(message: str) -> None:
 
 
 def _load(config: RunConfig) -> tuple[Network, IncidenceStructure]:
-    if not config.network_path:
-        raise NetworkFormatError("no network file given (use --network)")
     net = parse_network_file(config.network_path)
     return net, enumerate_paths(net)
 
@@ -284,10 +311,9 @@ def _ods_with_alpha(net: Network, alpha: Optional[float]):
 
 
 def _solve_payload(net, inc, result) -> dict:
-    coeffs = coefficient_table(net)
     F = result.f_star.F
-    d = poly_eval(coeffs, F, 0)
-    m = d + result.f_star.fC * poly_eval(coeffs, F, 1)
+    d, m = link_costs(coefficient_table(net), result.f_star.fS,
+                      result.f_star.fC)
     return {
         "theta": result.theta,
         "mu": result.mu,
@@ -318,8 +344,7 @@ def _sweep_csv(net: Network, records) -> str:
     coeffs = coefficient_table(net)
     for rec in records:
         F = rec.f_star.F
-        d = poly_eval(coeffs, F, 0)
-        m = d + rec.f_star.fC * poly_eval(coeffs, F, 1)
+        d, m = link_costs(coeffs, rec.f_star.fS, rec.f_star.fC)
         row = [_fmt(rec.alpha), _fmt(rec.poa), _fmt(rec.total_delay),
                _fmt(rec.theta), _fmt(rec.mu),
                "true" if rec.converged else "false"]
@@ -331,19 +356,26 @@ def _sweep_csv(net: Network, records) -> str:
 
 
 def _run_sweep(config: RunConfig, net, inc):
+    """Sweep records over the configured grid and the exit code: 2, with
+    one warning line, when some share did not converge."""
     grid_n = config.grid if config.grid else 101
     grid = np.linspace(0.0, 1.0, grid_n)
-    return analysis.sweep_alpha(
-        net, inc, grid=grid, tol=config.tol, max_iters=config.max_iters,
-        parallel_mode=config.parallel,
-    )
+    records = analysis.sweep_alpha(
+        net, inc, grid=grid, tol=config.tol, max_iters=config.max_iters)
+    if all(rec.converged for rec in records):
+        return records, EXIT_OK
+    _log("warning: some sweep points did not converge")
+    return records, EXIT_NOT_CONVERGED
 
 
 def _cmd_validate(config: RunConfig) -> int:
     net = _parse_structure(config.network_path)
     report = validate_network(net)
     _emit_json({"valid": not report, "violations": report}, config.out)
-    return EXIT_OK if not report else EXIT_IO
+    if report:
+        _log(f"error: {_invalid_message(config.network_path, report)}")
+        return EXIT_IO
+    return EXIT_OK
 
 
 def _cmd_check(config: RunConfig) -> int:
@@ -371,10 +403,7 @@ def _cmd_solve(config: RunConfig) -> int:
 
 def _cmd_optimum(config: RunConfig) -> int:
     net, inc = _load(config)
-    try:
-        F, T = solve_system_optimum(net, inc, net.od_pairs)
-    except NotConverged:
-        return EXIT_NOT_CONVERGED
+    F, T = solve_system_optimum(net, inc, net.od_pairs)
     payload = {
         "total_delay_min": T,
         "links": [{"id": link.id, "F": F[l]}
@@ -386,17 +415,16 @@ def _cmd_optimum(config: RunConfig) -> int:
 
 def _cmd_sweep(config: RunConfig) -> int:
     net, inc = _load(config)
-    records = _run_sweep(config, net, inc)
+    records, code = _run_sweep(config, net, inc)
     _emit(_sweep_csv(net, records), config.out)
-    if not all(rec.converged for rec in records):
-        _log("warning: some sweep points did not converge")
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return code
 
 
 def _cmd_critical_share(config: RunConfig) -> int:
     net, inc = _load(config)
-    records = _run_sweep(config, net, inc)
+    records, code = _run_sweep(config, net, inc)
+    if code != EXIT_OK:
+        return code
     report = analysis.detect_critical_share(
         net, inc, records, solver_tol=config.tol)
     _emit_json(dataclasses.asdict(report), config.out)
@@ -405,7 +433,9 @@ def _cmd_critical_share(config: RunConfig) -> int:
 
 def _cmd_monotonicity(config: RunConfig) -> int:
     net, inc = _load(config)
-    records = _run_sweep(config, net, inc)
+    records, code = _run_sweep(config, net, inc)
+    if code != EXIT_OK:
+        return code
     report = analysis.monotonicity_report(
         records, net, slack=10.0 * config.tol,
         exploratory=config.exploratory)
@@ -443,7 +473,10 @@ def _cmd_oracle_compare(config: RunConfig) -> int:
 
 def _cmd_gen(config: RunConfig) -> int:
     seed = config.seed if config.seed is not None else 0
-    net = gen_random_parallel(seed, config.links, config.demand)
+    try:
+        net = gen_random_parallel(seed, config.links, config.demand)
+    except ValueError as exc:
+        raise NetworkFormatError(f"gen: {exc}") from exc
     _emit_json(network_to_dict(net), config.out)
     return EXIT_OK
 
@@ -497,9 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--demand", type=float, default=1.0,
                         help="total demand for gen")
     parser.add_argument("--exploratory", action="store_true")
-    parser.add_argument("--parallel", action="store_true",
-                        help="solve sweep shares in lock-step from cold "
-                             "starts instead of warm-started sequence")
     return parser
 
 
@@ -519,7 +549,6 @@ def config_from_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
         links=args.links,
         demand=args.demand,
         exploratory=args.exploratory,
-        parallel=args.parallel,
     )
 
 

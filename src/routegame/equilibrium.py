@@ -33,6 +33,7 @@ from .calculus import (
     LoadProfile,
     check_conditions,
     coefficient_table,
+    link_costs,
     poly_eval,
 )
 from .netmodel import IncidenceStructure, Network, OdSpec, feasibility_residual
@@ -237,9 +238,7 @@ class _EngineContext:
         zS, zC = z[:, :P], z[:, P:]
         fS = zS @ self.A.T
         fC = zC @ self.A.T
-        F = fS + fC
-        d = poly_eval(self.coeffs, F, 0)
-        m = d + fC * poly_eval(self.coeffs, F, 1)
+        d, m = link_costs(self.coeffs, fS, fC)
         return fS, fC, d, m
 
     def operator(self, z: np.ndarray) -> np.ndarray:
@@ -461,10 +460,7 @@ def _polish_row(ctx: _EngineContext, z_row: np.ndarray, row: int) -> np.ndarray:
 
     # initial cost levels from the current iterate
     z_cur = unpack(x)
-    fC = ctx.A @ z_cur[P:]
-    F = ctx.A @ z_cur[:P] + fC
-    d = poly_eval(ctx.coeffs, F, 0)
-    m = d + fC * poly_eval(ctx.coeffs, F, 1)
+    d, m = link_costs(ctx.coeffs, ctx.A @ z_cur[:P], ctx.A @ z_cur[P:])
     off = 0
     for b, (_, u) in enumerate(s_blocks):
         x[nS + nC + b] = (d @ AS)[off:off + len(u)].mean()

@@ -9,6 +9,7 @@ selfish class (share 1 - alpha) and a coordinated fleet (share alpha).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -163,7 +164,12 @@ def validate_network(net: Network) -> list[str]:
     for link in net.links:
         coeffs = link.delay.coefficients
         for j, c in enumerate(coeffs):
-            if c < 0.0:
+            if not math.isfinite(c):
+                report.append(
+                    f"link '{link.id}': coefficient a{j} must be finite"
+                    f" (got {c})"
+                )
+            elif c < 0.0:
                 report.append(
                     f"link '{link.id}': coefficient a{j} must be non-negative"
                     f" (got {c})"
@@ -187,7 +193,9 @@ def validate_network(net: Network) -> list[str]:
             report.append(
                 f"od pair {i}: destination '{od.destination}' not declared"
             )
-        if od.demand_total < 0.0:
+        if not math.isfinite(od.demand_total):
+            report.append(f"od pair {i}: demand must be finite")
+        elif od.demand_total < 0.0:
             report.append(f"od pair {i}: demand must be non-negative")
         if not 0.0 <= od.fleet_share <= 1.0:
             report.append(f"od pair {i}: fleet_share must lie in [0, 1]")

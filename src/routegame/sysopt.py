@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import coefficient_table, poly_eval
+from .calculus import coefficient_table, link_costs, poly_eval
 from .equilibrium import NotConverged
 from .netmodel import IncidenceStructure, Network, OdSpec
 
@@ -62,13 +62,14 @@ def solve_system_optimum(
     tiny = 1e-15 * D_total
     for _ in range(max_iters):
         F = A @ y
-        t = poly_eval(coeffs, F, 0) + F * poly_eval(coeffs, F, 1)
+        # d(F) + F * d'(F) is the marginal delay of an all-fleet load
+        d, t = link_costs(coeffs, 0.0, F)
         cp = t @ A
         y_aon = np.zeros(P)
         for cols, demand in zip(od_cols, demands):
             y_aon[cols[np.argmin(cp[cols])]] = demand
         gap = float((y - y_aon) @ cp)
-        T = float(np.sum(F * poly_eval(coeffs, F, 0)))
+        T = float(np.sum(F * d))
         if gap <= tol * (1.0 + T):
             return F, T
 
@@ -78,7 +79,7 @@ def solve_system_optimum(
 
         if pairwise:
             F = A @ y
-            t = poly_eval(coeffs, F, 0) + F * poly_eval(coeffs, F, 1)
+            _, t = link_costs(coeffs, 0.0, F)
             cp = t @ A
             for cols, demand in zip(od_cols, demands):
                 if demand <= 0.0:
@@ -111,8 +112,7 @@ def _bisect_step(
     total delay along F + sigma * dF, over [0, sigma_max]."""
 
     def derivative(sigma: float) -> float:
-        Fs = F + sigma * dF
-        t = poly_eval(coeffs, Fs, 0) + Fs * poly_eval(coeffs, Fs, 1)
+        _, t = link_costs(coeffs, 0.0, F + sigma * dF)
         return float(t @ dF)
 
     if derivative(sigma_max) <= 0.0:

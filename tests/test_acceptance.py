@@ -62,8 +62,7 @@ def random_suite():
         net = gen_random_parallel(seed, n_links, D)
         inc = enumerate_paths(net)
         cond = check_conditions(net, D)
-        sweep = sweep_alpha(net, inc, grid=GRID_101, conditions=cond,
-                            parallel_mode=True)
+        sweep = sweep_alpha(net, inc, grid=GRID_101, conditions=cond)
         instances.append({
             "seed": seed, "D": D, "net": net, "inc": inc,
             "cond": cond, "sweep": sweep,
@@ -91,7 +90,7 @@ def fixture_sweeps():
     cond = check_conditions(net, D)
     t0 = time.perf_counter()
     sweep = sweep_alpha(net, inc, grid=GRID_101, conditions=cond,
-                        tol=1e-10, parallel_mode=True)
+                        tol=1e-10)
     elapsed = time.perf_counter() - t0
     out["example2"] = {"net": net, "inc": inc, "cond": cond, "sweep": sweep,
                        "D": D, "elapsed": elapsed}

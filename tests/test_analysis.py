@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import single_link, two_link
+from conftest import single_link
 from routegame.analysis import (
     AssumptionViolated,
     compute_supports,
@@ -74,16 +74,6 @@ class TestSweep:
         inc = enumerate_paths(net)
         with pytest.raises(AssumptionViolated):
             sweep_alpha(net, inc, grid=[0.0, 1.0])
-
-    def test_warm_and_parallel_modes_agree(self):
-        net = two_link((0.2, 0.9, 0.1, 0.02), (0.8, 0.4, 0.2, 0.01), 2.0)
-        inc = enumerate_paths(net)
-        grid = np.linspace(0, 1, 11)
-        warm = sweep_alpha(net, inc, grid=grid)
-        cold = sweep_alpha(net, inc, grid=grid, parallel_mode=True)
-        for a, b in zip(warm, cold):
-            np.testing.assert_allclose(
-                a.f_star.stacked(), b.f_star.stacked(), atol=1e-7)
 
     def test_aggregate_constant_on_flat_range(self, net_case_b, inc_case_b):
         sweep = sweep_alpha(net_case_b, inc_case_b, grid=np.linspace(0, 0.5, 11))
@@ -207,8 +197,7 @@ class TestMonotonicity:
         from routegame.cli import gen_random_parallel
         net = gen_random_parallel(42, 4, 2.0)
         inc = enumerate_paths(net)
-        sweep = sweep_alpha(net, inc, grid=np.linspace(0, 1, 51),
-                            parallel_mode=True)
+        sweep = sweep_alpha(net, inc, grid=np.linspace(0, 1, 51))
         report = monotonicity_report(sweep, net)
         assert report.all_ok()
 

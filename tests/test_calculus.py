@@ -9,6 +9,7 @@ from routegame.calculus import (
     check_conditions,
     class_costs,
     coefficient_table,
+    link_costs,
     link_delay,
     marginal_delay,
     operator_H,
@@ -222,3 +223,17 @@ def test_poly_eval_matches_scalar_api():
         vec = poly_eval(coeffs, F, order)
         for l, link in enumerate(net.links):
             assert vec[l] == pytest.approx(link_delay(link.delay, F[l], order))
+
+
+def test_link_costs_match_scalar_api():
+    rng = np.random.default_rng(3)
+    coeffs = rng.uniform(0.1, 2.0, size=(5, 4))
+    fS = rng.uniform(0.0, 3.0, size=5)
+    fC = rng.uniform(0.0, 3.0, size=5)
+    fC[0] = 0.0
+    d, m = link_costs(coeffs, fS, fC)
+    for l in range(5):
+        poly = DelayPoly(tuple(coeffs[l]))
+        assert d[l] == pytest.approx(link_delay(poly, fS[l] + fC[l]), rel=1e-15)
+        assert m[l] == pytest.approx(marginal_delay(poly, fS[l], fC[l]),
+                                     rel=1e-15)

@@ -113,6 +113,14 @@ class TestGen:
         with pytest.raises(ValueError):
             gen_random_parallel(0, 1, 1.0)
 
+    @pytest.mark.parametrize("demand", ["nan", "inf", "-1"])
+    def test_rejects_bad_demand(self, demand, capsys):
+        with pytest.raises(ValueError):
+            gen_random_parallel(0, 3, float(demand))
+        code = main(["gen", "--links", "3", "--demand", demand])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: gen: demand")
+
 
 class TestCommands:
     def test_sweep_csv_schema(self, case_b_file, tmp_path):
@@ -204,11 +212,20 @@ class TestCommands:
 
     def test_monotonicity_parallel(self, case_b_file, capsys):
         code = main(["monotonicity", "--network", case_b_file,
-                     "--grid", "11", "--parallel"])
+                     "--grid", "11"])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["poa_nonincreasing"] is True
         assert payload["support_nesting_ok"] is True
+
+    @pytest.mark.parametrize("command", ["critical-share", "monotonicity"])
+    def test_analysis_exit_code_nonconvergence(self, command, case_b_file,
+                                               capsys):
+        code = main([command, "--network", case_b_file, "--max-iters", "3"])
+        assert code == EXIT_NOT_CONVERGED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "warning: some sweep points did not converge\n"
 
     def test_critical_share_command(self, case_b_file, capsys):
         code = main(["critical-share", "--network", case_b_file,
@@ -242,3 +259,41 @@ class TestCommands:
         assert out1.read_bytes() == out2.read_bytes()
         net = parse_network_file(str(out1))
         assert net.n_links == 4
+
+
+def _malformed(kind: str) -> bytes:
+    raw = json.loads(CASE_B_TEXT)
+    if kind == "not-utf8":
+        return CASE_B_TEXT.encode("utf-16")
+    if kind == "string-coefficient":
+        raw["links"][0]["delay"][1] = "fast"
+    elif kind == "non-object-link":
+        raw["links"][1] = 5
+    elif kind == "nodes-not-a-list":
+        raw["nodes"] = 5
+    elif kind == "nan-coefficient":
+        raw["links"][0]["delay"][1] = float("nan")
+    elif kind == "infinite-demand":
+        raw["od_pairs"][0]["demand"] = float("inf")
+    elif kind == "negative-coefficient":
+        raw["links"][0]["delay"][0] = -1.0
+    else:
+        raise ValueError(kind)
+    return json.dumps(raw).encode()
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+@pytest.mark.parametrize("kind", [
+    "not-utf8", "string-coefficient", "non-object-link", "nodes-not-a-list",
+    "nan-coefficient", "infinite-demand", "negative-coefficient",
+])
+def test_malformed_input_exits_3_with_one_line(kind, command, tmp_path,
+                                               capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(_malformed(kind))
+    code = main([command, "--network", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
