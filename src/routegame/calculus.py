@@ -6,14 +6,15 @@ Throughout, ``fS`` is the selfish-class link load, ``fC`` the fleet link
 load, and ``F = fS + fC`` the aggregate. The fleet's first-order cost on a
 link is the marginal delay m(fS, fC) = d(F) + fC * d'(F). The game operator
 H(f) stacks the link delays and the marginal delays; its strong-monotonicity
-modulus ``c`` and Lipschitz constant ``Q`` on the box [0, D]^(2L) are
-certified per link from the closed-form eigenvalues of the 2x2 Jacobian
-blocks.
+modulus ``c`` and Lipschitz constant ``Q`` on the box [0, D]^(2L) have
+closed forms in the delay coefficients, derived from the per-link 2x2
+Jacobian blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,7 +22,6 @@ import numpy as np
 from .netmodel import DelayPoly, Network
 
 STRICTNESS_TOL = 1e-9
-SAFETY_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,11 @@ class FlowProfile:
 class ConditionsReport:
     """Outcome of the convexity / strong-monotonicity certification.
 
-    ``c`` is a grid-certified lower bound on the smallest eigenvalue of the
-    symmetrized Jacobian of H over the box (minus a small safety margin);
-    ``Q`` is the grid maximum of the Jacobian's spectral norm. When a check
-    fails, ``worst_link`` and ``witness`` identify the most violating link
-    and the (fS, fC) point realising the minimum margin.
+    ``c`` is the smallest eigenvalue of the symmetrized Jacobian of H over
+    the non-negative orthant and ``Q`` the largest spectral norm of the
+    Jacobian over the box, both in closed form (see ``check_conditions``).
+    When a check fails, ``worst_link`` and ``witness`` identify the most
+    violating link and the (fS, fC) point realising the minimum margin.
     """
 
     convexity_ok: bool
@@ -92,8 +92,7 @@ class ConditionsReport:
     strong_mono_margin: float
     worst_link: Optional[str] = None
     witness: Optional[tuple[float, float]] = None
-    grid_points: int = 64
-    box_demand: float = field(default=0.0)
+    box_demand: float = 0.0
 
 
 def coefficient_table(net: Network) -> np.ndarray:
@@ -179,151 +178,63 @@ def total_delay(net: Network, f: LoadProfile) -> float:
     return float(np.sum(F * poly_eval(coeffs, F, 0)))
 
 
-def _quadratic_box_min(
-    c00: float, c10: float, c01: float, c20: float, c11: float, c02: float, D: float
-) -> tuple[float, tuple[float, float]]:
-    """Exact minimum of c00 + c10*x + c01*y + c20*x^2 + c11*x*y + c02*y^2
-    over the box [0, D]^2: corners, edge critical points, interior
-    stationary point."""
-
-    def value(x: float, y: float) -> float:
-        return c00 + c10 * x + c01 * y + c20 * x * x + c11 * x * y + c02 * y * y
-
-    candidates = [(0.0, 0.0), (0.0, D), (D, 0.0), (D, D)]
-
-    def edge_candidates(lin: float, quad: float) -> list[float]:
-        if quad == 0.0:
-            return []
-        t = -lin / (2.0 * quad)
-        return [t] if 0.0 < t < D else []
-
-    for x_fixed in (0.0, D):
-        for y in edge_candidates(c01 + c11 * x_fixed, c02):
-            candidates.append((x_fixed, y))
-    for y_fixed in (0.0, D):
-        for x in edge_candidates(c10 + c11 * y_fixed, c20):
-            candidates.append((x, y_fixed))
-
-    det = 4.0 * c20 * c02 - c11 * c11
-    if det != 0.0:
-        x = (-2.0 * c02 * c10 + c11 * c01) / det
-        y = (-2.0 * c20 * c01 + c11 * c10) / det
-        if 0.0 < x < D and 0.0 < y < D:
-            candidates.append((x, y))
-
-    best = min(candidates, key=lambda pt: value(*pt))
-    return value(*best), best
-
-
-def _strong_mono_margin(poly: DelayPoly, D: float) -> tuple[float, tuple[float, float]]:
-    """Exact box minimum of 2*d'(F) - fC*d''(F), the reduced strong-
-    monotonicity margin for cubic delays (positive iff the per-link
-    condition holds)."""
-    _, a1, a2, a3 = poly.coefficients
-    # 2 d'(x+y) - y d''(x+y) = 2 a1 + 4 a2 x + 2 a2 y + 6 a3 x^2 + 6 a3 x y
-    return _quadratic_box_min(
-        2.0 * a1, 4.0 * a2, 2.0 * a2, 6.0 * a3, 6.0 * a3, 0.0, D
-    )
-
-
-def _convexity_margin(poly: DelayPoly, D: float) -> tuple[float, tuple[float, float]]:
-    """Exact box minimum of 2*d'(F) + fC*d''(F), the fleet-cost convexity
-    margin (the diagonal of the fleet Hessian)."""
-    _, a1, a2, a3 = poly.coefficients
-    # 2 d'(x+y) + y d''(x+y)
-    #   = 2 a1 + 4 a2 x + 6 a2 y + 6 a3 x^2 + 18 a3 x y + 12 a3 y^2
-    return _quadratic_box_min(
-        2.0 * a1, 4.0 * a2, 6.0 * a2, 6.0 * a3, 18.0 * a3, 12.0 * a3, D
-    )
-
-
-def _jacobian_block_extremes(
-    poly_coeffs: np.ndarray, D: float, grid_points: int
-) -> tuple[float, float]:
-    """Grid scan of one link's 2x2 Jacobian block over [0, D]^2.
-
-    Returns (min eigenvalue of the symmetrized block, max spectral norm of
-    the raw block); both are closed-form for 2x2 matrices.
-    """
-    axis = np.linspace(0.0, D, grid_points)
-    x, y = np.meshgrid(axis, axis, indexing="ij")  # fS, fC
-    F = x + y
-    p = poly_eval(poly_coeffs, F, 1)          # d'(F)
-    w = 2.0 * p + y * poly_eval(poly_coeffs, F, 2)   # dm/dfC
-
-    # Symmetrized block [[p, w/2], [w/2, w]].
-    mean = 0.5 * (p + w)
-    det_sym = p * w - 0.25 * w * w
-    lam_min = mean - np.sqrt(np.maximum(mean * mean - det_sym, 0.0))
-
-    # Raw block [[p, p], [v, p + v]] with v = d' + fC d''; spectral norm via
-    # the Gram matrix (its determinant is p^4).
-    v = w - p
-    gram_trace = 2.0 * p * p + v * v + (p + v) ** 2
-    gram_mean = 0.5 * gram_trace
-    sigma_sq = gram_mean + np.sqrt(np.maximum(gram_mean**2 - p**4, 0.0))
-
-    return float(lam_min.min()), float(np.sqrt(sigma_sq.max()))
-
-
-def check_conditions(
-    net: Network,
-    D_total: float,
-    grid_points: int = 64,
-    tol: float = STRICTNESS_TOL,
-) -> ConditionsReport:
+def check_conditions(net: Network, D_total: float) -> ConditionsReport:
     """Certify fleet-cost convexity and strong monotonicity of the game
     operator on the box [0, D]^(2L), and compute the constants (c, Q).
 
-    Both conditions reduce, for cubic delays, to quadratic margins in
-    (fS, fC) that are minimized exactly over the per-link box; a grid scan
-    of the per-link Jacobian blocks yields the certified modulus ``c`` and
-    Lipschitz constant ``Q``. Failures are reported (with a witness), not
-    raised.
+    Per link, write x = fS, y = fC, F = x + y, p = d'(F) and
+    v = d'(F) + y d''(F); the Jacobian block of H in (fS, fC) is
+    J = [[p, p], [v, p + v]]. For delay coefficients a_i >= 0 three closed
+    forms hold, the first two on the whole orthant x, y >= 0:
+
+    - Margins. 2d' - y d'' = 2a1 + 4a2 x + 2a2 y + 6a3 x^2 + 6a3 x y and
+      2d' + y d'' = 2a1 + 4a2 x + 6a2 y + 6a3 x^2 + 18a3 x y + 12a3 y^2
+      are 2a1 plus non-negative terms, so both margins equal 2 min_l a1,
+      reached at zero load.
+    - Modulus c. With s = d'(F) - a1 = 2a2 F + 3a3 F^2 >= 0 and
+      t = 2s + y d''(F) >= 0 the symmetrized block splits as
+      a1 [[1, 1], [1, 2]] + [[s, t/2], [t/2, t]]. Since y <= F,
+      y d'' <= 2a2 F + 6a3 F^2 <= 2s, so t <= 4s and the second term is
+      positive semidefinite. Weyl's inequality bounds the smallest
+      eigenvalue below by a1 (3 - sqrt 5) / 2, the first term's, with
+      equality at zero load. The symmetrized Jacobian of H is block
+      diagonal over links, so c = (3 - sqrt 5) / 2 * min_l a1.
+    - Constant Q. J is non-negative and each entry is non-decreasing in x
+      and y. The spectral norm of a non-negative matrix, the maximum of
+      u^T J w over unit u, w >= 0, is non-decreasing in its entries, so Q
+      is reached at the corner (D, D): the square root of the larger
+      eigenvalue of J^T J, whose trace is 2p^2 + v^2 + (p + v)^2 and whose
+      determinant is p^4.
+
+    Failures are reported with the first link of smallest a1 and the
+    witness (0, 0), not raised.
     """
-    if D_total <= 0.0:
-        raise ValueError("box demand must be positive")
-
-    convexity_min = np.inf
-    strong_min = np.inf
-    worst_link: Optional[str] = None
-    witness: Optional[tuple[float, float]] = None
-    lam_min_all = np.inf
-    sigma_max_all = 0.0
-
+    if not (math.isfinite(D_total) and D_total > 0.0):
+        raise ValueError("box demand must be positive and finite")
     coeffs = coefficient_table(net)
-    for i, link in enumerate(net.links):
-        conv_val, _ = _convexity_margin(link.delay, D_total)
-        mono_val, mono_pt = _strong_mono_margin(link.delay, D_total)
-        convexity_min = min(convexity_min, conv_val)
-        if mono_val < strong_min:
-            strong_min = mono_val
-            worst_link = link.id
-            witness = mono_pt
+    if not (np.isfinite(coeffs).all() and (coeffs >= 0.0).all()):
+        raise ValueError("delay coefficients must be finite and non-negative")
 
-        lam_min, sigma_max = _jacobian_block_extremes(
-            coeffs[i], D_total, grid_points
-        )
-        lam_min_all = min(lam_min_all, lam_min)
-        sigma_max_all = max(sigma_max_all, sigma_max)
+    a1 = coeffs[:, 1]
+    worst = int(np.argmin(a1))
+    margin = 2.0 * float(a1[worst])
+    ok = margin > STRICTNESS_TOL
 
-    convexity_ok = bool(convexity_min > tol)
-    strong_mono_ok = bool(strong_min > tol)
-    if convexity_ok and strong_mono_ok:
-        worst_link = None
-        witness = None
+    F = 2.0 * D_total
+    p = poly_eval(coeffs, F, 1)
+    w = 2.0 * p + D_total * poly_eval(coeffs, F, 2)
+    v = w - p
+    gram_mean = 0.5 * (2.0 * p * p + v * v + (p + v) ** 2)
+    sigma_sq = gram_mean + np.sqrt(np.maximum(gram_mean**2 - p**4, 0.0))
 
-    c = lam_min_all - min(SAFETY_MARGIN, abs(lam_min_all) / 2.0)
     return ConditionsReport(
-        convexity_ok=convexity_ok,
-        strong_mono_ok=strong_mono_ok,
-        c=float(c),
-        Q=float(sigma_max_all),
-        convexity_margin=float(convexity_min),
-        strong_mono_margin=float(strong_min),
-        worst_link=worst_link,
-        witness=witness,
-        grid_points=grid_points,
+        convexity_ok=ok,
+        strong_mono_ok=ok,
+        c=(3.0 - math.sqrt(5.0)) / 2.0 * float(a1[worst]),
+        Q=float(np.sqrt(sigma_sq.max())),
+        convexity_margin=margin,
+        strong_mono_margin=margin,
+        worst_link=None if ok else net.links[worst].id,
+        witness=None if ok else (0.0, 0.0),
         box_demand=float(D_total),
     )
-

@@ -298,7 +298,8 @@ def feasibility_residual(inc: IncidenceStructure, ods: Sequence[OdSpec], z) -> f
 
     Returns the maximum over classes and OD pairs of the absolute demand
     mismatch |sum of path flows - class demand| plus the magnitude of the
-    most negative flow entry. The value is zero iff the flow is feasible.
+    most negative flow entry. The value is zero iff the flow is feasible,
+    and infinite when any entry is not finite.
     """
     zS = np.asarray(z.zS, dtype=float)
     zC = np.asarray(z.zC, dtype=float)
@@ -306,6 +307,8 @@ def feasibility_residual(inc: IncidenceStructure, ods: Sequence[OdSpec], z) -> f
         raise ValueError(
             f"flow dimension mismatch: expected {inc.n_paths} per class"
         )
+    if not (np.isfinite(zS).all() and np.isfinite(zC).all()):
+        return math.inf
     worst_mismatch = 0.0
     for k, od in enumerate(ods):
         idx = list(inc.paths_of_od(k))

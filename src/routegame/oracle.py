@@ -22,6 +22,7 @@ from .calculus import (
 from .netmodel import IncidenceStructure, Network, OdSpec
 
 MAX_GRID_CELLS = 8_000_000
+MAX_PATHS = 3  # paths of the single OD pair the equilibrium oracle handles
 
 
 def _simplex_grid(n_paths: int, total: float, grid_n: int) -> np.ndarray:
@@ -66,8 +67,9 @@ def brute_force_equilibrium(
     """
     if len(ods) != 1:
         raise ValueError("the equilibrium oracle handles a single OD pair")
-    if inc.n_paths > 3:
-        raise ValueError("the equilibrium oracle handles at most 3 paths")
+    if inc.n_paths > MAX_PATHS:
+        raise ValueError(
+            f"the equilibrium oracle handles at most {MAX_PATHS} paths")
     od = ods[0]
 
     ZS = _simplex_grid(inc.n_paths, od.demand_selfish, grid_n)

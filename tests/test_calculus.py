@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import single_link, two_link
 from routegame.calculus import (
@@ -16,7 +17,7 @@ from routegame.calculus import (
     poly_eval,
     total_delay,
 )
-from routegame.netmodel import DelayPoly
+from routegame.netmodel import DelayPoly, Link, Network, OdSpec
 
 
 class TestLinkDelay:
@@ -213,6 +214,65 @@ class TestCheckConditions:
     def test_rejects_nonpositive_box(self):
         with pytest.raises(ValueError):
             check_conditions(single_link(1.0), 0.0)
+
+    @pytest.mark.parametrize("coeffs", [
+        (0.0, 1.0, -0.1, 0.0), (0.0, 1.0, 0.0, np.nan), (np.inf, 1.0, 0.0, 0.0),
+    ])
+    def test_rejects_negative_or_non_finite_coefficient(self, coeffs):
+        # the closed forms need a_i >= 0
+        with pytest.raises(ValueError, match="coefficients"):
+            check_conditions(single_link(1.0, coeffs=coeffs), 1.0)
+
+
+def _dense_grid_extremes(coeffs, D: float, rel: float, n: int = 201):
+    """Reference extremes over the box [0, D]^2 (corners included) from an
+    n x n grid per link: min eigenvalue of the symmetrized Jacobian block
+    [[p, (p + v)/2], [(p + v)/2, p + v]], max spectral norm of the raw
+    block [[p, p], [v, p + v]] (2x2 formulas, via hypot), and the minima of
+    2d' - fC d'' and 2d' + fC d''. Every grid value is first moved by
+    ``rel`` times the size of the terms it is computed from, which covers
+    the grid's own rounding (2d' - fC d'' cancels terms of up to 1e6 in
+    the drawn ranges)."""
+    axis = np.linspace(0.0, D, n)
+    x, y = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+    F = x + y
+    lam, sigma, mono, conv = np.inf, 0.0, np.inf, np.inf
+    for a0, a1, a2, a3 in coeffs:
+        p = a1 + 2.0 * a2 * F + 3.0 * a3 * F**2
+        d2 = 2.0 * a2 + 6.0 * a3 * F
+        v = p + y * d2
+        mean = p + 0.5 * v
+        radius = np.hypot(0.5 * v, 0.5 * (p + v))
+        lam = min(lam, (mean - radius + rel * (mean + radius)).min())
+        sigma = max(sigma, (0.5 * (np.hypot(2.0 * p + v, v - p)
+                                   + np.hypot(v, p + v))).max())
+        scale = 2.0 * p + y * d2
+        mono = min(mono, (2.0 * p - y * d2 + rel * scale).min())
+        conv = min(conv, (scale + rel * scale).min())
+    return lam, sigma * (1.0 - rel), mono, conv
+
+
+_coef = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+_link = st.tuples(_coef, st.floats(1e-3, 10.0), _coef, _coef)
+
+
+@settings(max_examples=200, deadline=None)
+@given(links=st.lists(_link, min_size=1, max_size=3),
+       D=st.floats(1e-2, 1e2))
+def test_closed_forms_bound_dense_grid(links, D):
+    net = Network(
+        nodes=("o", "d"),
+        links=tuple(Link(f"l{i + 1}", "o", "d", DelayPoly(c))
+                    for i, c in enumerate(links)),
+        od_pairs=(OdSpec("o", "d", D, 0.5),),
+    )
+    report = check_conditions(net, D)
+    lam, sigma, mono, conv = _dense_grid_extremes(links, D, rel=1e-12)
+    assert report.c <= lam
+    assert report.Q >= sigma
+    assert report.strong_mono_margin <= mono
+    assert report.convexity_margin <= conv
+    assert report.convexity_ok and report.strong_mono_ok
 
 
 def test_poly_eval_matches_scalar_api():

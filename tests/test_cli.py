@@ -249,6 +249,22 @@ class TestCommands:
         assert payload["equilibrium_load_delta"] <= 2 * payload["grid_step"]
         assert payload["optimum_delta"] <= 1e-4
 
+    def test_oracle_compare_rejects_many_paths_before_solving(
+            self, monkeypatch, capsys):
+        def unexpected_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the path count")
+
+        monkeypatch.setattr("routegame.cli.solve_equilibrium",
+                            unexpected_solve)
+        code = main(["oracle-compare", "--network",
+                     str(NETWORKS / "example2.json"), "--grid", "11"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ASSUMPTION
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("assumption violated: oracle-compare")
+
     def test_gen_command_deterministic(self, tmp_path):
         out1 = tmp_path / "g1.json"
         out2 = tmp_path / "g2.json"
@@ -297,3 +313,26 @@ def test_malformed_input_exits_3_with_one_line(kind, command, tmp_path,
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--network", str(NETWORKS / "case_b.json"), "--grid", "1"],
+    ["frobnicate"],
+    ["solve", "--network", str(NETWORKS / "case_b.json"), "--alpha", "abc"],
+])
+def test_usage_error_exits_3_with_one_line(argv, capsys):
+    # argparse's default exit code 2 is the code for non-convergence
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    err = capsys.readouterr().err
+    assert stop.value.code == EXIT_IO
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: routegame")

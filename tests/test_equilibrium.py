@@ -95,6 +95,15 @@ class TestWardropResidual:
             wardrop_residual(net, inc, ods, z)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("certificate", [wardrop_residual, vi_gap])
+def test_certificates_reject_non_finite_flow(net_case_b, inc_case_b, bad,
+                                             certificate):
+    z = FlowProfile(zS=np.array([bad, 2.0]), zC=np.zeros(2))
+    with pytest.raises(ValueError, match="flow is infeasible"):
+        certificate(net_case_b, inc_case_b, net_case_b.od_pairs, z)
+
+
 class TestViGap:
     def fixture(self, alpha=0.0):
         net = two_link((0.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0), 2.0)

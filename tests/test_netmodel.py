@@ -178,3 +178,12 @@ class TestFeasibilityResidual:
         z = FlowProfile(zS=np.array([1.0]), zC=np.zeros(1))
         with pytest.raises(ValueError):
             feasibility_residual(inc, ods, z)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_infeasible(self, bad):
+        # Python's max and min skip a NaN, which must not read as feasible
+        net, inc, ods = self.fixture()
+        for z in (FlowProfile(zS=np.array([bad, 1.0]), zC=np.zeros(2)),
+                  FlowProfile(zS=np.array([1.0, 0.0]),
+                              zC=np.array([0.0, bad]))):
+            assert feasibility_residual(inc, ods, z) == np.inf
