@@ -142,11 +142,13 @@ def link_costs(
     coeffs: np.ndarray, fS: np.ndarray, fC: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Link delays d(F) and fleet marginal delays d(F) + fC * d'(F) at the
-    class loads (fS, fC), for a coefficient table; broadcasts like
-    ``poly_eval``."""
+    class loads (fS, fC), for an (L, 4) coefficient table; the loads
+    broadcast against L along their last axis. Both Horner forms are those
+    of ``poly_eval``, evaluated in the same order."""
+    a0, a1, a2, a3 = coeffs.T
     F = fS + fC
-    d = poly_eval(coeffs, F, 0)
-    return d, d + fC * poly_eval(coeffs, F, 1)
+    d = a0 + F * (a1 + F * (a2 + F * a3))
+    return d, d + fC * (a1 + F * (2.0 * a2 + F * (3.0 * a3)))
 
 
 def operator_H(net: Network, f: LoadProfile) -> np.ndarray:
@@ -176,6 +178,18 @@ def total_delay(net: Network, f: LoadProfile) -> float:
     coeffs = coefficient_table(net)
     F = f.F
     return float(np.sum(F * poly_eval(coeffs, F, 0)))
+
+
+def corner_norms_sq(coeffs: np.ndarray, D_total: float) -> np.ndarray:
+    """Squared spectral norm of each link's Jacobian block at the corner
+    (D, D) of the box, for an (L, 4) coefficient table; Q is the square
+    root of the largest (see ``check_conditions``)."""
+    F = 2.0 * D_total
+    p = poly_eval(coeffs, F, 1)
+    w = 2.0 * p + D_total * poly_eval(coeffs, F, 2)
+    v = w - p
+    gram_mean = 0.5 * (2.0 * p * p + v * v + (p + v) ** 2)
+    return gram_mean + np.sqrt(np.maximum(gram_mean**2 - p**4, 0.0))
 
 
 def check_conditions(net: Network, D_total: float) -> ConditionsReport:
@@ -220,18 +234,11 @@ def check_conditions(net: Network, D_total: float) -> ConditionsReport:
     margin = 2.0 * float(a1[worst])
     ok = margin > STRICTNESS_TOL
 
-    F = 2.0 * D_total
-    p = poly_eval(coeffs, F, 1)
-    w = 2.0 * p + D_total * poly_eval(coeffs, F, 2)
-    v = w - p
-    gram_mean = 0.5 * (2.0 * p * p + v * v + (p + v) ** 2)
-    sigma_sq = gram_mean + np.sqrt(np.maximum(gram_mean**2 - p**4, 0.0))
-
     return ConditionsReport(
         convexity_ok=ok,
         strong_mono_ok=ok,
         c=(3.0 - math.sqrt(5.0)) / 2.0 * float(a1[worst]),
-        Q=float(np.sqrt(sigma_sq.max())),
+        Q=float(np.sqrt(corner_norms_sq(coeffs, D_total).max())),
         convexity_margin=margin,
         strong_mono_margin=margin,
         worst_link=None if ok else net.links[worst].id,

@@ -11,7 +11,8 @@ error only.
 
 Exit codes: 0 success, 1 assumption violation (e.g. monotonicity on a
 non-parallel network without --exploratory, failed operator conditions,
-or oracle-compare beyond one OD pair or three paths), 2 solver
+or oracle-compare beyond one OD pair, three paths or the oracle's grid
+size), 2 solver
 non-convergence (also when any share of a sweep did not converge), 3 usage
 error, I/O, parse or validation failure, explained on a single stderr
 line.
@@ -444,6 +445,11 @@ def _cmd_oracle_compare(config: RunConfig) -> int:
             f"paths (the network has {inc.n_paths} paths over {len(ods)} "
             "OD pair(s))")
     grid_n = config.grid if config.grid else 2001
+    cells = oracle.grid_cells(inc.n_paths, ods[0], grid_n)
+    if cells > oracle.MAX_GRID_CELLS:
+        raise analysis.AssumptionViolated(
+            f"oracle-compare grid of {cells} cells exceeds the oracle's "
+            f"limit of {oracle.MAX_GRID_CELLS} (use a smaller --grid)")
     result = solve_equilibrium(
         net, inc, ods, tol=config.tol, max_iters=config.max_iters)
     oracle_load, certificate = oracle.brute_force_equilibrium(

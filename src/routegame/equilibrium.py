@@ -22,6 +22,7 @@ both certificates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -83,12 +84,8 @@ def project_feasible(
     y = np.asarray(y, dtype=float)
     if y.shape != (2 * inc.n_paths,):
         raise ValueError(f"expected a vector of length {2 * inc.n_paths}")
-    blocks = []
-    for k, od in enumerate(ods):
-        cols = np.asarray(inc.paths_of_od(k), dtype=int)
-        blocks.append((cols, np.array([od.demand_selfish])))
-        blocks.append((cols + inc.n_paths, np.array([od.demand_fleet])))
-    z = _project_blocks(y[None, :], blocks)
+    groups = _width_groups(_od_columns(inc, len(ods)), inc.n_paths)
+    z = _project_blocks(y[None, :], groups, _demand_row(ods))
     return FlowProfile(zS=z[0, : inc.n_paths], zC=z[0, inc.n_paths:])
 
 
@@ -110,7 +107,7 @@ def wardrop_residual(
     _require_feasible(inc, ods, z, D_total)
     ctx = _EngineContext(net, inc, ods)
     ctx.eps_used = eps * D_total
-    wr, _, _ = ctx.residuals(z.stacked()[None, :])
+    wr, _, _, _ = ctx.residuals(z.stacked()[None, :])
     return float(wr[0])
 
 
@@ -130,7 +127,7 @@ def vi_gap(
     D_total = float(sum(od.demand_total for od in ods))
     _require_feasible(inc, ods, z, D_total)
     ctx = _EngineContext(net, inc, ods)
-    _, gap, _ = ctx.residuals(z.stacked()[None, :])
+    _, gap, _, _ = ctx.residuals(z.stacked()[None, :])
     return float(gap[0])
 
 
@@ -155,7 +152,7 @@ def solve_equilibrium(
     with Q taken from the conditions report, which is computed here unless
     supplied. Raises ConditionsUnverified when strong monotonicity is not
     certified and ``force`` is not set, and NotConverged (carrying the last
-    iterate) after ``max_iters``.
+    iterate) after ``max_iters``, or at once when the costs are not finite.
     """
     results = _solve_many(
         net, inc, ods, alphas=None, tol=tol, max_iters=max_iters, step=step,
@@ -163,9 +160,12 @@ def solve_equilibrium(
     )
     result = results[0]
     if not result.converged:
+        reason = (f"no convergence after {max_iters} iterations"
+                  if math.isfinite(result.vi_gap) else
+                  f"non-finite costs after {result.iterations} iterations")
         raise NotConverged(
-            f"no convergence after {max_iters} iterations "
-            f"(wardrop={result.wardrop_residual:.3e}, gap={result.vi_gap:.3e})",
+            f"{reason} (wardrop={result.wardrop_residual:.3e}, "
+            f"gap={result.vi_gap:.3e})",
             result,
         )
     return result
@@ -189,7 +189,8 @@ def solve_equilibrium_batch(
 
     All shares iterate in lock-step from cold uniform starts (the
     vectorized counterpart of running independent solvers in parallel);
-    non-convergence is reported per share, never raised.
+    non-convergence is reported per share, never raised. A share whose
+    costs are not finite stops at once with an infinite Wardrop residual.
     """
     return _solve_many(
         net, inc, (od,), alphas=list(alphas), tol=tol, max_iters=max_iters,
@@ -204,111 +205,121 @@ def solve_equilibrium_batch(
 
 
 class _EngineContext:
-    """Precomputed arrays shared by the operator, projection and residuals."""
+    """Precomputed arrays shared by the operator, projection and residuals.
+
+    Demands are stored per row as ``dem`` of shape (n, 2K): column k holds
+    the selfish demand of OD pair k and column K + k its fleet demand; a
+    single row unless batched. ``groups`` are the class-OD blocks grouped
+    by width (see ``_width_groups``).
+    """
 
     def __init__(self, net: Network, inc: IncidenceStructure, ods: Sequence[OdSpec]):
         self.coeffs = coefficient_table(net)
         self.A = np.ascontiguousarray(inc.matrix)
         self.P = inc.n_paths
-        self.od_cols = [np.asarray(inc.paths_of_od(k), dtype=int)
-                        for k in range(len(ods))]
+        self.K = len(ods)
+        self.od_cols = _od_columns(inc, self.K)
+        self.groups = _width_groups(self.od_cols, self.P)
         self.ods = tuple(ods)
         self.D_total = float(sum(od.demand_total for od in ods))
         self.eps_used = USED_PATH_EPS * self.D_total
-        # per-row demands, shape (n, K); single row unless batched
-        self.demS = np.array([[od.demand_selfish for od in ods]])
-        self.demC = np.array([[od.demand_fleet for od in ods]])
+        self.dem = _demand_row(ods)
 
     def set_alphas(self, alphas: Sequence[float]) -> None:
         totals = np.array([od.demand_total for od in self.ods])
         a = np.asarray(alphas, dtype=float)[:, None]
-        self.demS = (1.0 - a) * totals[None, :]
-        self.demC = a * totals[None, :]
+        self.dem = np.concatenate([(1.0 - a) * totals, a * totals], axis=1)
 
-    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        out = []
-        for k, cols in enumerate(self.od_cols):
-            out.append((cols, self.demS[:, k]))
-        for k, cols in enumerate(self.od_cols):
-            out.append((cols + self.P, self.demC[:, k]))
-        return out
-
-    def link_costs(self, z: np.ndarray):
+    def costs(self, z: np.ndarray):
+        """Class link loads, link delays d, marginal delays m and the stacked
+        path costs [d A, m A] (the operator) per row of the batch."""
         P = self.P
-        zS, zC = z[:, :P], z[:, P:]
-        fS = zS @ self.A.T
-        fC = zC @ self.A.T
+        fS = z[:, :P] @ self.A.T
+        fC = z[:, P:] @ self.A.T
         d, m = link_costs(self.coeffs, fS, fC)
-        return fS, fC, d, m
+        return fS, fC, d, m, np.concatenate([d @ self.A, m @ self.A], axis=1)
 
     def operator(self, z: np.ndarray) -> np.ndarray:
-        _, _, d, m = self.link_costs(z)
-        return np.concatenate([d @ self.A, m @ self.A], axis=1)
+        return self.costs(z)[4]
 
-    def residuals(self, z: np.ndarray, demS: Optional[np.ndarray] = None,
-                  demC: Optional[np.ndarray] = None):
-        """Wardrop residual, gap and f'H(f) per row of the batch."""
-        P = self.P
-        if demS is None:
-            demS, demC = self.demS, self.demC
-        zS, zC = z[:, :P], z[:, P:]
-        fS, fC, d, m = self.link_costs(z)
-        dP = d @ self.A
-        mP = m @ self.A
-        n = z.shape[0]
-        wr = np.zeros(n)
-        best = np.zeros(n)
-        for k, cols in enumerate(self.od_cols):
-            d_k = dP[:, cols]
-            m_k = mP[:, cols]
-            d_min = d_k.min(axis=1)
-            m_min = m_k.min(axis=1)
-            spread_S = np.where(zS[:, cols] > self.eps_used,
-                                d_k - d_min[:, None], 0.0).max(axis=1)
-            spread_C = np.where(zC[:, cols] > self.eps_used,
-                                m_k - m_min[:, None], 0.0).max(axis=1)
-            wr = np.maximum(wr, np.maximum(spread_S, spread_C))
-            best += demS[:, k] * d_min + demC[:, k] * m_min
+    def residuals(self, z: np.ndarray, dem: Optional[np.ndarray] = None):
+        """Wardrop residual, gap, f'H(f) and the operator per row of the
+        batch. A row whose gap is not finite has non-finite costs; its
+        Wardrop residual is infinite, so no certificate can hold."""
+        if dem is None:
+            dem = self.dem
+        fS, fC, d, m, G = self.costs(z)
+        wr = np.zeros(z.shape[0])
+        lowest = np.empty_like(dem)
+        for idx, blk in self.groups:
+            G_b = G[:, idx]
+            low = G_b.min(axis=2)
+            spread = np.where(z[:, idx] > self.eps_used,
+                              G_b - low[:, :, None], 0.0)
+            wr = np.maximum(wr, spread.max(axis=(1, 2)))
+            lowest[:, blk] = low
+        K = self.K
+        # best response cost summed over OD pairs in order
+        best = np.cumsum(dem[:, :K] * lowest[:, :K]
+                         + dem[:, K:] * lowest[:, K:], axis=1)[:, -1]
         fTH = (fS * d + fC * m).sum(axis=1)
         gap = np.maximum(fTH - best, 0.0)
-        return wr, gap, fTH
-
-    def theta_mu(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, _, d, m = self.link_costs(z)
-        return (d @ self.A).min(axis=1), (m @ self.A).min(axis=1)
+        wr = np.where(np.isfinite(gap), wr, np.inf)
+        return wr, gap, fTH, G
 
 
-def _project_simplex_rows(V: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Rowwise projection onto {x >= 0, sum x = s} by sort and threshold."""
-    out = np.zeros_like(V)
-    pos = sums > 0.0
-    if not np.any(pos):
-        return out
-    Vp = V[pos]
-    sp = sums[pos]
-    u = np.sort(Vp, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    j = np.arange(1, V.shape[1] + 1, dtype=float)
-    rho = (u * j > css - sp[:, None]).sum(axis=1) - 1
-    theta = (css[np.arange(len(sp)), rho] - sp) / (rho + 1.0)
-    out[pos] = np.maximum(Vp - theta[:, None], 0.0)
-    return out
+def _od_columns(inc: IncidenceStructure, K: int) -> list[np.ndarray]:
+    return [np.asarray(inc.paths_of_od(k), dtype=int) for k in range(K)]
 
 
-def _project_blocks(z: np.ndarray, blocks) -> np.ndarray:
-    out = np.zeros_like(z)
-    for cols, sums in blocks:
-        if len(sums) == 1 and z.shape[0] > 1:
-            sums = np.broadcast_to(sums, (z.shape[0],))
-        out[:, cols] = _project_simplex_rows(z[:, cols], sums)
+def _demand_row(ods: Sequence[OdSpec]) -> np.ndarray:
+    return np.array([[od.demand_selfish for od in ods]
+                     + [od.demand_fleet for od in ods]])
+
+
+def _width_groups(od_cols: Sequence[np.ndarray], P: int):
+    """Class-OD blocks grouped by width, as (columns, blocks) pairs: the
+    columns of the group's B blocks in a (B, width) array and their block
+    indices, where block k < K is the selfish block of OD pair k and
+    K + k its fleet block. On one OD pair both blocks form one group."""
+    cols = list(od_cols) + [c + P for c in od_cols]
+    by_width: dict[int, list[int]] = {}
+    for b, c in enumerate(cols):
+        by_width.setdefault(len(c), []).append(b)
+    return [(np.array([cols[b] for b in blocks]), np.array(blocks))
+            for blocks in by_width.values()]
+
+
+def _project_simplex(V: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Projection of each last-axis slice of V onto {x >= 0, sum x = s} by
+    sort and threshold; slices whose sum s is not positive map to zero.
+
+    ``sums`` has the shape of V without its last axis.
+    """
+    u = np.sort(V, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    j = np.arange(1, V.shape[-1] + 1, dtype=float)
+    count = (u * j > css - sums[..., None]).sum(axis=-1)
+    # css at position count, picked exactly (every other term is zero);
+    # count is 0 only on slices that map to zero
+    css_at = np.where(j == count[..., None], css, 0.0).sum(axis=-1)
+    theta = (css_at - sums) / np.maximum(count, 1)
+    return np.where(sums[..., None] > 0.0,
+                    np.maximum(V - theta[..., None], 0.0), 0.0)
+
+
+def _project_blocks(z: np.ndarray, groups, dem: np.ndarray) -> np.ndarray:
+    """Project every class-OD block of each row of z, one call per group."""
+    out = np.empty_like(z)
+    for idx, blk in groups:
+        out[:, idx] = _project_simplex(z[:, idx], dem[:, blk])
     return out
 
 
 def _uniform_start(ctx: _EngineContext, n: int) -> np.ndarray:
-    z0 = np.zeros((n, 2 * ctx.P))
-    for k, cols in enumerate(ctx.od_cols):
-        z0[:, cols] = ctx.demS[:, k][:, None] / len(cols)
-        z0[:, cols + ctx.P] = ctx.demC[:, k][:, None] / len(cols)
+    z0 = np.empty((n, 2 * ctx.P))
+    for idx, blk in ctx.groups:
+        z0[:, idx] = ctx.dem[:, blk][:, :, None] / idx.shape[1]
     return z0
 
 
@@ -358,31 +369,30 @@ def _solve_many(
     else:
         gamma = 1.0
 
-    blocks = ctx.blocks()
+    groups, dem = ctx.groups, ctx.dem
     if init is not None:
-        z = _project_blocks(init.stacked()[None, :], blocks)
+        z = _project_blocks(init.stacked()[None, :], groups, dem)
         z = np.repeat(z, n, axis=0)
     else:
         z = _uniform_start(ctx, n)
 
-    active = np.ones(n, dtype=bool)
+    # each step's first operator value is the previous step's residual one;
+    # a row whose gap is not finite can never converge and stops at once
+    _, gap, _, g = ctx.residuals(z)
+    active = np.isfinite(gap)
     iters = np.zeros(n, dtype=int)
     it = 0
-    while it < max_iters:
+    while it < max_iters and active.any():
         it += 1
-        g1 = ctx.operator(z)
-        z_half = _project_blocks(z - gamma * g1, blocks)
-        g2 = ctx.operator(z_half)
-        z_new = _project_blocks(z - gamma * g2, blocks)
+        z_half = _project_blocks(z - gamma * g, groups, dem)
+        z_new = _project_blocks(z - gamma * ctx.operator(z_half), groups, dem)
         z = np.where(active[:, None], z_new, z)
-        wr, gap, fTH = ctx.residuals(z)
+        wr, gap, fTH, g = ctx.residuals(z)
         ok = (wr <= tol) & (gap <= tol * (1.0 + fTH))
-        newly = active & ok
-        iters[newly] = it
-        active &= ~ok
-        if not active.any():
-            break
-    converged = ~active
+        done = active & (ok | ~np.isfinite(gap))
+        iters[done] = it
+        active &= ~done
+    converged = ~active & np.isfinite(gap)
     iters[active] = max_iters
 
     if polish:
@@ -390,8 +400,8 @@ def _solve_many(
             if converged[i]:
                 z[i] = _polish_row(ctx, z[i], i)
 
-    wr, gap, _ = ctx.residuals(z)
-    theta, mu = ctx.theta_mu(z)
+    wr, gap, _, G = ctx.residuals(z)
+    theta, mu = G[:, :ctx.P].min(axis=1), G[:, ctx.P:].min(axis=1)
     results = []
     for i in range(n):
         flow = FlowProfile(zS=z[i, : ctx.P], zC=z[i, ctx.P:])
@@ -417,20 +427,19 @@ def _polish_row(ctx: _EngineContext, z_row: np.ndarray, row: int) -> np.ndarray:
     replaces the iterate only when it stays non-negative, is feasible, and
     does not worsen either residual certificate.
     """
-    P = ctx.P
-    demS_row = ctx.demS[row:row + 1]
-    demC_row = ctx.demC[row:row + 1]
-    wr0, gap0, _ = ctx.residuals(z_row[None, :], demS_row, demC_row)
+    P, K = ctx.P, ctx.K
+    dem_row = ctx.dem[row:row + 1]
+    wr0, gap0, _, _ = ctx.residuals(z_row[None, :], dem_row)
 
     s_blocks: list[tuple[int, np.ndarray]] = []
     c_blocks: list[tuple[int, np.ndarray]] = []
     for k, cols in enumerate(ctx.od_cols):
-        if ctx.demS[row, k] > 0.0:
+        if ctx.dem[row, k] > 0.0:
             u = cols[z_row[cols] > ctx.eps_used]
             if len(u) == 0:
                 return z_row
             s_blocks.append((k, u))
-        if ctx.demC[row, k] > 0.0:
+        if ctx.dem[row, K + k] > 0.0:
             u = cols[z_row[P + cols] > ctx.eps_used]
             if len(u) == 0:
                 return z_row
@@ -504,13 +513,14 @@ def _polish_row(ctx: _EngineContext, z_row: np.ndarray, row: int) -> np.ndarray:
         off = 0
         for b, (k, u) in enumerate(s_blocks):
             r = nS + nC + b
-            resid[r] = x[off:off + len(u)].sum() - ctx.demS[row, k]
+            resid[r] = x[off:off + len(u)].sum() - ctx.dem[row, k]
             jac[r, off:off + len(u)] = 1.0
             off += len(u)
         off = 0
         for b, (k, u) in enumerate(c_blocks):
             r = nS + nC + nSb + b
-            resid[r] = x[nS + off:nS + off + len(u)].sum() - ctx.demC[row, k]
+            resid[r] = (x[nS + off:nS + off + len(u)].sum()
+                        - ctx.dem[row, K + k])
             jac[r, nS + off:nS + off + len(u)] = 1.0
             off += len(u)
 
@@ -527,13 +537,8 @@ def _polish_row(ctx: _EngineContext, z_row: np.ndarray, row: int) -> np.ndarray:
     if flows.min(initial=0.0) < -1e-10:
         return z_row
     x[:nS + nC] = np.maximum(flows, 0.0)
-    row_blocks = []
-    for k, cols in enumerate(ctx.od_cols):
-        row_blocks.append((cols, ctx.demS[row, k:k + 1]))
-    for k, cols in enumerate(ctx.od_cols):
-        row_blocks.append((cols + P, ctx.demC[row, k:k + 1]))
-    z_new = _project_blocks(unpack(x)[None, :], row_blocks)
-    wr1, gap1, _ = ctx.residuals(z_new, demS_row, demC_row)
+    z_new = _project_blocks(unpack(x)[None, :], ctx.groups, dem_row)
+    wr1, gap1, _, _ = ctx.residuals(z_new, dem_row)
     if wr1[0] <= wr0[0] + 1e-15 and gap1[0] <= gap0[0] + 1e-15:
         return z_new[0]
     return z_row

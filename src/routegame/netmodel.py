@@ -161,37 +161,41 @@ def validate_network(net: Network) -> list[str]:
     if net.n_links < 1:
         report.append("network must contain at least one link")
 
+    sound_links = []  # links whose coefficients pass every check below
     for link in net.links:
         coeffs = link.delay.coefficients
+        n_before = len(report)
         for j, c in enumerate(coeffs):
             if not math.isfinite(c):
                 report.append(
-                    f"link '{link.id}': coefficient a{j} must be finite"
+                    f"link {link.id!r}: coefficient a{j} must be finite"
                     f" (got {c})"
                 )
             elif c < 0.0:
                 report.append(
-                    f"link '{link.id}': coefficient a{j} must be non-negative"
+                    f"link {link.id!r}: coefficient a{j} must be non-negative"
                     f" (got {c})"
                 )
         if coeffs[1] <= 0.0:
-            report.append(f"link '{link.id}': a1 must be strictly positive")
+            report.append(f"link {link.id!r}: a1 must be strictly positive")
+        if len(report) == n_before:
+            sound_links.append(link)
         if link.tail == link.head:
-            report.append(f"link '{link.id}': tail and head coincide")
+            report.append(f"link {link.id!r}: tail and head coincide")
         if link.tail not in nodes:
-            report.append(f"link '{link.id}': tail '{link.tail}' not declared")
+            report.append(f"link {link.id!r}: tail {link.tail!r} not declared")
         if link.head not in nodes:
-            report.append(f"link '{link.id}': head '{link.head}' not declared")
+            report.append(f"link {link.id!r}: head {link.head!r} not declared")
         if link.id in seen_ids:
-            report.append(f"duplicate link id '{link.id}'")
+            report.append(f"duplicate link id {link.id!r}")
         seen_ids.add(link.id)
 
     for i, od in enumerate(net.od_pairs):
         if od.origin not in nodes:
-            report.append(f"od pair {i}: origin '{od.origin}' not declared")
+            report.append(f"od pair {i}: origin {od.origin!r} not declared")
         if od.destination not in nodes:
             report.append(
-                f"od pair {i}: destination '{od.destination}' not declared"
+                f"od pair {i}: destination {od.destination!r} not declared"
             )
         if not math.isfinite(od.demand_total):
             report.append(f"od pair {i}: demand must be finite")
@@ -205,7 +209,33 @@ def validate_network(net: Network) -> list[str]:
                     f"od pair {i}: destination unreachable from origin"
                 )
 
+    if sound_links and all(math.isfinite(od.demand_total)
+                           for od in net.od_pairs):
+        report.extend(_box_overflows(sound_links, net.total_demand()))
     return report
+
+
+def _box_overflows(links: Sequence[Link], D: float) -> list[str]:
+    """Links whose delay, marginal delay or Jacobian norm is not finite on
+    the demand box. Each is non-decreasing in the load for non-negative
+    coefficients, so the corner (D, D), aggregate load 2D, decides; at zero
+    demand the box is the one ``check`` certifies, D = 1. A finite norm
+    implies finite d' and d'' at the corner, and the modulus c is finite
+    for finite coefficients."""
+    # imported here because calculus imports this module
+    from .calculus import corner_norms_sq, link_costs
+
+    D_box = D if D > 0.0 else 1.0
+    coeffs = np.array([link.delay.coefficients for link in links])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [*link_costs(coeffs, D_box, D_box),
+                  corner_norms_sq(coeffs, D_box)]
+        finite = np.isfinite(values).all(axis=0)
+    return [
+        f"link {link.id!r}: delay not finite on the demand box "
+        f"(aggregate load up to {2.0 * D_box:g})"
+        for link, ok in zip(links, finite.tolist()) if not ok
+    ]
 
 
 def _reachable(net: Network, origin: str, destination: str) -> bool:

@@ -9,6 +9,7 @@ independent ground truth on two- and three-path instances.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +24,19 @@ from .netmodel import IncidenceStructure, Network, OdSpec
 
 MAX_GRID_CELLS = 8_000_000
 MAX_PATHS = 3  # paths of the single OD pair the equilibrium oracle handles
+
+
+def grid_cells(n_paths: int, od: OdSpec, grid_n: int) -> int:
+    """Number of (selfish, fleet) cells the equilibrium oracle scores, in
+    closed form: a class with positive demand has C(grid_n + P - 2, P - 1)
+    grid points on its simplex, a class with zero demand has one."""
+
+    def points(total: float) -> int:
+        if total <= 0.0:
+            return 1
+        return math.comb(grid_n + n_paths - 2, n_paths - 1)
+
+    return points(od.demand_selfish) * points(od.demand_fleet)
 
 
 def _simplex_grid(n_paths: int, total: float, grid_n: int) -> np.ndarray:
@@ -71,13 +85,13 @@ def brute_force_equilibrium(
         raise ValueError(
             f"the equilibrium oracle handles at most {MAX_PATHS} paths")
     od = ods[0]
+    cells = grid_cells(inc.n_paths, od, grid_n)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(
+            f"grid too large ({cells} cells, limit {MAX_GRID_CELLS})")
 
     ZS = _simplex_grid(inc.n_paths, od.demand_selfish, grid_n)
     ZC = _simplex_grid(inc.n_paths, od.demand_fleet, grid_n)
-    if ZS.shape[0] * ZC.shape[0] > MAX_GRID_CELLS:
-        raise ValueError(
-            f"grid too large ({ZS.shape[0]} x {ZC.shape[0]} cells)"
-        )
 
     coeffs = coefficient_table(net)
     A = inc.matrix

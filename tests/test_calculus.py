@@ -297,3 +297,19 @@ def test_link_costs_match_scalar_api():
         assert d[l] == pytest.approx(link_delay(poly, fS[l] + fC[l]), rel=1e-15)
         assert m[l] == pytest.approx(marginal_delay(poly, fS[l], fC[l]),
                                      rel=1e-15)
+
+
+def test_link_costs_equal_poly_eval_forms():
+    # the one-pass kernel performs poly_eval's operations in its order
+    rng = np.random.default_rng(8)
+    coeffs = rng.uniform(0.0, 2.0, size=(6, 4))
+    fS = rng.uniform(0.0, 5.0, size=(4, 6))
+    fC = rng.uniform(0.0, 5.0, size=(4, 6))
+    fC[0] = 0.0
+    d, m = link_costs(coeffs, fS, fC)
+    F = fS + fC
+    assert np.array_equal(d, poly_eval(coeffs, F, 0))
+    assert np.array_equal(m, d + fC * poly_eval(coeffs, F, 1))
+    d0, m0 = link_costs(coeffs, 0.0, F[1])
+    assert np.array_equal(d0, poly_eval(coeffs, F[1], 0))
+    assert np.array_equal(m0, d0 + F[1] * poly_eval(coeffs, F[1], 1))

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routegame.cli import (
     EXIT_ASSUMPTION,
@@ -265,6 +271,37 @@ class TestCommands:
         assert len(lines) == 1, captured.err
         assert lines[0].startswith("assumption violated: oracle-compare")
 
+    @pytest.mark.parametrize("grid", [[], ["--grid", "201"]])
+    def test_oracle_compare_rejects_large_grid_before_solving(
+            self, grid, monkeypatch, capsys):
+        def unexpected_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the grid size")
+
+        monkeypatch.setattr("routegame.cli.solve_equilibrium",
+                            unexpected_solve)
+        code = main(["oracle-compare", "--network",
+                     str(NETWORKS / "example1.json"), "--alpha", "0.5", *grid])
+        captured = capsys.readouterr()
+        assert code == EXIT_ASSUMPTION
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("assumption violated: oracle-compare grid")
+
+    @pytest.mark.parametrize("command", [
+        "validate", "check", "solve", "optimum", "sweep"])
+    def test_delay_overflow_exits_3_with_one_line(self, command, tmp_path,
+                                                  capsys):
+        raw = json.loads(CASE_B_TEXT)
+        raw["links"][0]["delay"] = [0.0, 1e308, 1e308, 1e308]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        code = main([command, "--network", str(path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_IO
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert "delay not finite on the demand box" in lines[0]
+
     def test_gen_command_deterministic(self, tmp_path):
         out1 = tmp_path / "g1.json"
         out2 = tmp_path / "g2.json"
@@ -336,3 +373,81 @@ def test_help_exits_0(capsys):
         main(["--help"])
     assert stop.value.code == EXIT_OK
     assert capsys.readouterr().out.startswith("usage: routegame")
+
+
+# ---------------------------------------------------------------------------
+# fuzzed network files
+# ---------------------------------------------------------------------------
+
+_FUZZ_FIXTURES = ("case_b", "example1", "example2")
+_FUZZ_KEYS = sorted({"name", "nodes", "links", "od_pairs", "id", "tail",
+                     "head", "delay", "origin", "destination", "demand",
+                     "fleet_share"})
+_FUZZ_VALUES = st.one_of(
+    st.text(max_size=4),
+    st.none(),
+    st.booleans(),
+    st.lists(st.lists(st.floats(), max_size=2), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0,
+                     -1.0, 10**400, {}]),
+    st.floats(),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _mutate(doc, data) -> None:
+    """Walk from the root to a random entry, then drop it, rename its key
+    or replace its value."""
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(
+                st.booleans()):
+            node = child
+            continue
+        action = data.draw(st.sampled_from(["drop", "rename", "replace"]))
+        if action == "drop":
+            del node[key]
+        elif action == "rename" and isinstance(node, dict):
+            new_key = data.draw(st.one_of(st.sampled_from(_FUZZ_KEYS),
+                                          st.text(max_size=4)))
+            node[new_key] = node.pop(key)
+        else:
+            node[key] = data.draw(_FUZZ_VALUES)
+        return
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), fixture=st.sampled_from(_FUZZ_FIXTURES),
+       command=st.sampled_from(["validate", "check"]))
+def test_fuzzed_network_file_exits_cleanly(data, fixture, command,
+                                           tmp_path_factory):
+    doc = json.loads((NETWORKS / f"{fixture}.json").read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data)
+    text = json.dumps(doc)
+    if data.draw(st.integers(0, 4)) == 0:
+        text = text[:data.draw(st.integers(0, len(text)))]
+    path = tmp_path_factory.mktemp("fuzz") / "net.json"
+    path.write_text(text, encoding="utf-8")
+
+    out, err = io.StringIO(), io.StringIO()
+    # a warning would print a second stderr line: make it an error here
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([command, "--network", str(path)])
+
+    assert code in (EXIT_OK, EXIT_ASSUMPTION, EXIT_IO)
+    if code == EXIT_IO:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

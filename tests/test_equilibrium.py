@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import single_link, two_link
-from routegame.calculus import FlowProfile, check_conditions
+from routegame.calculus import (
+    FlowProfile,
+    check_conditions,
+    link_costs,
+    link_delay,
+    marginal_delay,
+)
 from routegame.equilibrium import (
     ConditionsUnverified,
     NotConverged,
+    _EngineContext,
+    _project_blocks,
     project_feasible,
     solve_equilibrium,
     solve_equilibrium_batch,
@@ -294,3 +302,219 @@ class TestBatchSolver:
         batch = solve_equilibrium_batch(
             net, inc, net.od_pairs[0], [0.0, 0.5], max_iters=2)
         assert all(not r.converged for r in batch)
+
+
+# ---------------------------------------------------------------------------
+# grouped engine against the per-block, per-OD reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_project_simplex_rows(V, sums):
+    """Per-block projection of the earlier engine, kept as the reference."""
+    out = np.zeros_like(V)
+    pos = sums > 0.0
+    if not np.any(pos):
+        return out
+    Vp = V[pos]
+    sp = sums[pos]
+    u = np.sort(Vp, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    j = np.arange(1, V.shape[1] + 1, dtype=float)
+    rho = (u * j > css - sp[:, None]).sum(axis=1) - 1
+    theta = (css[np.arange(len(sp)), rho] - sp) / (rho + 1.0)
+    out[pos] = np.maximum(Vp - theta[:, None], 0.0)
+    return out
+
+
+def _ref_project_blocks(z, blocks):
+    out = np.zeros_like(z)
+    for cols, sums in blocks:
+        if len(sums) == 1 and z.shape[0] > 1:
+            sums = np.broadcast_to(sums, (z.shape[0],))
+        out[:, cols] = _ref_project_simplex_rows(z[:, cols], sums)
+    return out
+
+
+def _ref_blocks(ctx):
+    return ([(cols, ctx.dem[:, k]) for k, cols in enumerate(ctx.od_cols)]
+            + [(cols + ctx.P, ctx.dem[:, ctx.K + k])
+               for k, cols in enumerate(ctx.od_cols)])
+
+
+def _ref_residuals(ctx, z):
+    """Per-OD residual loop of the earlier engine, kept as the reference."""
+    P, K = ctx.P, ctx.K
+    zS, zC = z[:, :P], z[:, P:]
+    fS = zS @ ctx.A.T
+    fC = zC @ ctx.A.T
+    d, m = link_costs(ctx.coeffs, fS, fC)
+    dP = d @ ctx.A
+    mP = m @ ctx.A
+    n = z.shape[0]
+    wr = np.zeros(n)
+    best = np.zeros(n)
+    for k, cols in enumerate(ctx.od_cols):
+        d_k = dP[:, cols]
+        m_k = mP[:, cols]
+        d_min = d_k.min(axis=1)
+        m_min = m_k.min(axis=1)
+        spread_S = np.where(zS[:, cols] > ctx.eps_used,
+                            d_k - d_min[:, None], 0.0).max(axis=1)
+        spread_C = np.where(zC[:, cols] > ctx.eps_used,
+                            m_k - m_min[:, None], 0.0).max(axis=1)
+        wr = np.maximum(wr, np.maximum(spread_S, spread_C))
+        best += ctx.dem[:, k] * d_min + ctx.dem[:, K + k] * m_min
+    fTH = (fS * d + fC * m).sum(axis=1)
+    gap = np.maximum(fTH - best, 0.0)
+    return wr, gap, fTH
+
+
+def _two_od_net(alpha=0.0):
+    """Two OD pairs on disjoint parallel links: 2 paths, then 3 paths."""
+    links = (
+        Link("a1", "o1", "d1", DelayPoly((0.0, 1.0, 0.0, 0.0))),
+        Link("a2", "o1", "d1", DelayPoly((1.0, 1.0, 0.0, 0.0))),
+        Link("b1", "o2", "d2", DelayPoly((0.0, 1.0, 0.0, 0.0))),
+        Link("b2", "o2", "d2", DelayPoly((0.5, 1.0, 0.0, 0.0))),
+        Link("b3", "o2", "d2", DelayPoly((1.2, 1.0, 0.0, 0.0))),
+    )
+    return Network(
+        nodes=("o1", "d1", "o2", "d2"),
+        links=links,
+        od_pairs=(OdSpec("o1", "d1", 2.0, alpha),
+                  OdSpec("o2", "d2", 2.0, alpha)),
+    )
+
+
+def _engine_nets():
+    one_od = Network(
+        nodes=("o", "d"),
+        links=tuple(Link(f"l{i}", "o", "d", DelayPoly(c)) for i, c in
+                    enumerate([(0.1, 0.9, 0.15, 0.01), (0.7, 0.5, 0.05, 0.02),
+                               (0.3, 1.2, 0.0, 0.04)])),
+        od_pairs=(OdSpec("o", "d", 2.5, 0.0),),
+    )
+    two_od = Network(
+        nodes=("o1", "d1", "o2", "d2"),
+        links=_two_od_net().links[:2] + tuple(
+            Link(f"b{i}", "o2", "d2", DelayPoly(c)) for i, c in
+            enumerate([(0.2, 0.8, 0.1, 0.02), (1.0, 0.4, 0.0, 0.05),
+                       (0.5, 1.5, 0.3, 0.0)])),
+        od_pairs=(OdSpec("o1", "d1", 2.0, 0.0), OdSpec("o2", "d2", 1.5, 0.0)),
+    )
+    return {"one-od": one_od, "two-od-2-3": two_od}
+
+
+@pytest.fixture(params=["one-od", "two-od-2-3"])
+def batched_engine(request):
+    """Engine context batched over shares 0, 1 and interior ones, so the
+    zero-demand rows of both classes are included."""
+    net = _engine_nets()[request.param]
+    ctx = _EngineContext(net, enumerate_paths(net), net.od_pairs)
+    ctx.set_alphas([0.0, 0.37, 1.0, 0.81])
+    return ctx
+
+
+def test_width_groups_of_one_and_two_od_pairs(batched_engine):
+    ctx = batched_engine
+    widths = sorted(idx.shape for idx, _ in ctx.groups)
+    assert widths == ([(2, 3)] if ctx.K == 1 else [(2, 2), (2, 3)])
+    covered = np.sort(np.concatenate([idx.ravel() for idx, _ in ctx.groups]))
+    np.testing.assert_array_equal(covered, np.arange(2 * ctx.P))
+
+
+def test_grouped_projection_equals_per_block_reference(batched_engine):
+    ctx = batched_engine
+    rng = np.random.default_rng(11)
+    n = ctx.dem.shape[0]
+    for scale in (0.01, 1.0, 100.0):
+        y = rng.normal(0.0, scale, size=(n, 2 * ctx.P))
+        got = _project_blocks(y, ctx.groups, ctx.dem)
+        want = _ref_project_blocks(y, _ref_blocks(ctx))
+        assert np.array_equal(got, want)
+
+
+def test_project_feasible_equals_per_block_reference():
+    for net in _engine_nets().values():
+        inc = enumerate_paths(net)
+        ods = _share(net, 0.42)
+        ctx = _EngineContext(net, inc, ods)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            y = rng.normal(0.0, 2.0, size=2 * inc.n_paths)
+            want = _ref_project_blocks(y[None, :], _ref_blocks(ctx))[0]
+            assert np.array_equal(project_feasible(inc, ods, y).stacked(),
+                                  want)
+
+
+def test_grouped_residuals_equal_per_od_reference(batched_engine):
+    ctx = batched_engine
+    rng = np.random.default_rng(23)
+    n = ctx.dem.shape[0]
+    for _ in range(10):
+        y = rng.normal(0.3, 1.0, size=(n, 2 * ctx.P))
+        z = _ref_project_blocks(y, _ref_blocks(ctx))
+        wr, gap, fTH, G = ctx.residuals(z)
+        ref_wr, ref_gap, ref_fTH = _ref_residuals(ctx, z)
+        assert np.array_equal(wr, ref_wr)
+        assert np.array_equal(gap, ref_gap)
+        assert np.array_equal(fTH, ref_fTH)
+        assert np.array_equal(G, ctx.operator(z))
+
+
+def test_two_od_mixed_share_meets_closed_forms():
+    # OD 1 is case_b: at share 1/4, fS = (5/4, 1/4), fC = (1/4, 1/4),
+    # theta = 3/2, mu = 7/4. OD 2 has d_l = a_l + x with a = (0, 1/2, 6/5)
+    # and demand 2: the selfish class uses b1, b2 at theta = 1 + a3/6 = 6/5,
+    # the fleet all three links at mu = 2 theta - 1 = 7/5, so
+    # fS = (1, 1/2, 0) and fC = (mu - theta, mu - theta, (mu - a3)/2).
+    net = _two_od_net(alpha=0.25)
+    inc = enumerate_paths(net)
+    assert [len(inc.paths_of_od(k)) for k in range(2)] == [2, 3]
+    res = solve_equilibrium(net, inc, net.od_pairs, tol=1e-10)
+    np.testing.assert_allclose(res.f_star.fS, [1.25, 0.25, 1.0, 0.5, 0.0],
+                               atol=1e-8)
+    np.testing.assert_allclose(res.f_star.fC, [0.25, 0.25, 0.2, 0.2, 0.1],
+                               atol=1e-8)
+    for links, theta, mu in (((0, 1), 1.5, 1.75), ((2, 3, 4), 1.2, 1.4)):
+        for l in links:
+            delay = net.links[l].delay
+            fS, fC = res.f_star.fS[l], res.f_star.fC[l]
+            d = link_delay(delay, fS + fC)
+            if fS > 1e-6:
+                assert d == pytest.approx(theta, abs=1e-8)
+            else:
+                assert d >= theta - 1e-8
+            assert marginal_delay(delay, fS, fC) == pytest.approx(mu, abs=1e-8)
+    assert res.theta == pytest.approx(1.2, abs=1e-8)
+    assert res.mu == pytest.approx(1.4, abs=1e-8)
+
+
+def _huge_case_b():
+    """case_b with link l1's delay 1e308 (1 + x + x^2 + x^3), left
+    unvalidated: its delay overflows to inf at every positive load."""
+    return two_link((0.0, 1e308, 1e308, 1e308), (1.0, 1.0, 0.0, 0.0), 2.0,
+                    0.25)
+
+
+def test_non_finite_costs_stop_at_once():
+    net = _huge_case_b()
+    inc = enumerate_paths(net)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NotConverged, match="non-finite costs") as info:
+            solve_equilibrium(net, inc, net.od_pairs)
+        batch = solve_equilibrium_batch(net, inc, net.od_pairs[0],
+                                        [0.0, 0.5, 1.0])
+    for res in (info.value.result, *batch):
+        assert not res.converged
+        assert res.iterations == 0
+        assert res.wardrop_residual == np.inf
+
+
+def test_certificates_fail_on_non_finite_costs():
+    net = _huge_case_b()
+    inc = enumerate_paths(net)
+    z = FlowProfile(zS=np.array([1.0, 0.5]), zC=np.array([0.25, 0.25]))
+    with np.errstate(all="ignore"):
+        assert wardrop_residual(net, inc, net.od_pairs, z) == np.inf
+        assert not vi_gap(net, inc, net.od_pairs, z) <= 1e-8

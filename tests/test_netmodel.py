@@ -65,6 +65,41 @@ class TestValidate:
         assert any("fleet_share" in v for v in report)
 
 
+    def test_delay_overflow_on_demand_box(self):
+        # finite coefficients whose delay overflows at aggregate load 2D = 4
+        net = two_link((0.0, 1e308, 1e308, 1e308), (1.0, 1.0, 0.0, 0.0), 2.0)
+        report = validate_network(net)
+        assert report == ["link 'l1': delay not finite on the demand box "
+                          "(aggregate load up to 4)"]
+
+    def test_jacobian_norm_overflow_on_demand_box(self):
+        # d, d' and d'' are finite at 2D, but Q's Gram matrix overflows
+        net = two_link((0.0, 1e100, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0), 2.0)
+        assert np.isfinite(link_delay(net.links[0].delay, 4.0))
+        report = validate_network(net)
+        assert len(report) == 1 and report[0].startswith("link 'l1': delay")
+
+    def test_zero_demand_box_is_the_checked_one(self):
+        # at zero demand ``check`` certifies the box of demand 1
+        net = two_link((0.0, 1e308, 1e308, 0.0), (1.0, 1.0, 0.0, 0.0), 0.0)
+        assert "aggregate load up to 2" in validate_network(net)[0]
+
+    def test_box_check_skips_links_with_bad_coefficients(self):
+        # a link that already failed a coefficient check gets no second
+        # message; the box is not checked when a demand is not finite
+        net = two_link((-1.0, 1e308, 1e308, 1e308), (1.0, 0.0, 0.0, 0.0), 2.0)
+        report = validate_network(net)
+        assert len(report) == 2
+        assert all("coefficient a0" in v or "a1 must" in v for v in report)
+        net = two_link((0.0, 1e308, 1e308, 1e308), (1.0, 1.0, 0.0, 0.0),
+                       float("inf"))
+        assert validate_network(net) == ["od pair 0: demand must be finite"]
+
+    def test_large_finite_coefficients_pass(self):
+        net = two_link((1e300, 1e10, 1e5, 1e3), (1.0, 1.0, 0.0, 0.0), 2.0)
+        assert validate_network(net) == []
+
+
 class TestDelayPoly:
     def test_needs_four_coefficients(self):
         with pytest.raises(ValueError):

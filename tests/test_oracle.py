@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 
 from conftest import single_link, two_link
-from routegame.netmodel import enumerate_paths
-from routegame.oracle import brute_force_equilibrium, brute_force_optimum
+from routegame.netmodel import (
+    DelayPoly,
+    Link,
+    Network,
+    OdSpec,
+    enumerate_paths,
+)
+from routegame.oracle import (
+    _simplex_grid,
+    brute_force_equilibrium,
+    brute_force_optimum,
+    grid_cells,
+)
 from routegame.sysopt import solve_system_optimum
 
 
@@ -39,7 +50,6 @@ class TestBruteForceEquilibrium:
 
     def test_three_path_instance(self):
         # smaller grid keeps the triangular scan tractable
-        from routegame.netmodel import DelayPoly, Link, Network, OdSpec
         net = Network(
             nodes=("o", "d"),
             links=(
@@ -62,6 +72,31 @@ class TestBruteForceEquilibrium:
         net, inc = self.case_b()
         with pytest.raises(ValueError):
             brute_force_equilibrium(net, inc, _share(net, 0.5), 4001)
+
+    def test_grid_too_large_rejected_before_building(self, monkeypatch):
+        def unexpected_grid(*args):
+            raise AssertionError("built a grid before checking its size")
+
+        monkeypatch.setattr("routegame.oracle._simplex_grid", unexpected_grid)
+        net = Network(
+            nodes=("o", "d"),
+            links=tuple(Link(f"l{i}", "o", "d", DelayPoly((i, 1.0, 0.0, 0.0)))
+                        for i in range(3)),
+            od_pairs=(OdSpec("o", "d", 1.0, 0.5),),
+        )
+        with pytest.raises(ValueError, match="grid too large"):
+            brute_force_equilibrium(net, enumerate_paths(net), net.od_pairs,
+                                    2001)
+
+
+def test_grid_cells_counts_the_simplex_grids():
+    for n_paths in (1, 2, 3, 4):
+        for alpha in (0.0, 0.3, 1.0):
+            for grid_n in (2, 3, 17):
+                od = OdSpec("o", "d", 2.0, alpha)
+                rows = [_simplex_grid(n_paths, total, grid_n).shape[0]
+                        for total in (od.demand_selfish, od.demand_fleet)]
+                assert grid_cells(n_paths, od, grid_n) == rows[0] * rows[1]
 
 
 class TestBruteForceOptimum:
