@@ -16,14 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .calculus import (
-    ConditionsReport,
-    FlowProfile,
-    LoadProfile,
-    check_conditions,
-    total_delay,
-)
+from .calculus import ConditionsReport, FlowProfile, LoadProfile, total_delay
 from .equilibrium import (
+    SUPPORT_EPS,
     EquilibriumResult,
     solve_equilibrium,
     solve_equilibrium_batch,
@@ -32,7 +27,6 @@ from .equilibrium import (
 from .netmodel import IncidenceStructure, Network, OdSpec
 from .sysopt import price_of_anarchy, solve_system_optimum
 
-SUPPORT_EPS = 1e-6
 POA_FLAT_TOL = 1e-6
 BISECTION_RESOLUTION = 1e-4
 
@@ -117,10 +111,10 @@ class MonotonicityReport:
 
 
 def compute_supports(
-    z: FlowProfile, f: LoadProfile, D_total: float, eps: float = SUPPORT_EPS
+    z: FlowProfile, f: LoadProfile, D_total: float
 ) -> SupportSets:
-    """Threshold-based support extraction at eps * D."""
-    thresh = eps * D_total
+    """Threshold-based support extraction at SUPPORT_EPS * D."""
+    thresh = SUPPORT_EPS * D_total
     return SupportSets(
         paths_S=frozenset(np.flatnonzero(z.zS > thresh).tolist()),
         paths_C=frozenset(np.flatnonzero(z.zC > thresh).tolist()),
@@ -141,37 +135,29 @@ def _single_od(net: Network) -> OdSpec:
 def sweep_alpha(
     net: Network,
     inc: IncidenceStructure,
-    D_total: Optional[float] = None,
     grid: Optional[Sequence[float]] = None,
     *,
     tol: float = 1e-8,
     max_iters: int = 200_000,
-    conditions: Optional[ConditionsReport] = None,
-    polish: bool = True,
-    eps: float = SUPPORT_EPS,
 ) -> list[SweepRecord]:
-    """Solve the equilibrium for every fleet share in the grid.
+    """Solve the equilibrium for every fleet share in the grid, at the
+    network's OD demand.
 
     Default grid: 101 uniform points on [0, 1]. All shares iterate in
     lock-step from cold starts (``solve_equilibrium_batch``), so each
-    record is independent of its neighbours on the grid. The conditions
-    report and the system optimum are computed once; per-share
-    non-convergence is recorded, never raised.
+    record is independent of its neighbours on the grid. The system
+    optimum is computed once; per-share non-convergence is recorded,
+    never raised.
     """
     od = _single_od(net)
-    demand = float(D_total) if D_total is not None else od.demand_total
+    demand = od.demand_total
     base = OdSpec(od.origin, od.destination, demand, 0.0)
     alphas = (np.linspace(0.0, 1.0, 101) if grid is None
               else np.asarray(list(grid), dtype=float))
 
-    if conditions is None:
-        conditions = check_conditions(net, demand)
     _, T_min = solve_system_optimum(net, inc, (base,))
-
     results = solve_equilibrium_batch(
-        net, inc, base, alphas, tol=tol, max_iters=max_iters,
-        conditions=conditions, polish=polish, eps=eps,
-    )
+        net, inc, base, alphas, tol=tol, max_iters=max_iters)
 
     records = []
     for alpha, res in zip(alphas, results):
@@ -183,7 +169,7 @@ def sweep_alpha(
             theta=res.theta,
             mu=res.mu,
             f_star=res.f_star,
-            supports=compute_supports(res.z_star, res.f_star, demand, eps),
+            supports=compute_supports(res.z_star, res.f_star, demand),
             converged=res.converged,
             z_star=res.z_star,
         ))
@@ -194,7 +180,6 @@ def construct_scaled_equilibrium(
     result_at_alpha_tilde: EquilibriumResult,
     alpha_tilde: float,
     alpha: float,
-    eps: float = SUPPORT_EPS,
 ) -> FlowProfile:
     """Equilibrium flow at a smaller share by transferring fleet flow to the
     selfish class.
@@ -211,7 +196,7 @@ def construct_scaled_equilibrium(
         raise ValueError("alpha must lie in [0, alpha_tilde]")
     z = result_at_alpha_tilde.z_star
     D_total = float(z.zS.sum() + z.zC.sum())
-    thresh = eps * D_total
+    thresh = SUPPORT_EPS * D_total
     used_C = np.flatnonzero(z.zC > thresh)
     used_S = set(np.flatnonzero(z.zS > thresh).tolist())
     if not set(used_C.tolist()) <= used_S:
@@ -230,18 +215,16 @@ def detect_critical_share(
     inc: IncidenceStructure,
     sweep: list[SweepRecord],
     *,
-    tol: float = POA_FLAT_TOL,
-    resolution: float = BISECTION_RESOLUTION,
     solver_tol: float = 1e-8,
-    eps: float = SUPPORT_EPS,
 ) -> CriticalShareReport:
     """Locate the critical fleet share on a sweep and verify its claims.
 
     ``alpha_tilde`` is the largest grid share such that fleet path support
     is contained in selfish path support at every grid point up to it,
-    refined by bisection (re-solving at midpoints) between the last holding
-    and the first failing grid point. On [0, alpha_tilde] the report checks
-    that the PoA stays at its zero-share value within ``tol`` and evaluates
+    refined by bisection (re-solving at midpoints to ``solver_tol``) between
+    the last holding and the first failing grid point, down to a bracket of
+    BISECTION_RESOLUTION / 4. On [0, alpha_tilde] the report checks that
+    the PoA stays at its zero-share value within POA_FLAT_TOL and evaluates
     the worst Wardrop residual of the transfer construction.
     """
     od = _single_od(net)
@@ -264,9 +247,7 @@ def detect_critical_share(
 
     def solve_at(alpha: float) -> EquilibriumResult:
         return solve_equilibrium(
-            net, inc, (base.with_share(alpha),),
-            tol=solver_tol, eps=eps,
-        )
+            net, inc, (base.with_share(alpha),), tol=solver_tol)
 
     bracket: Optional[tuple[float, float]] = None
     if last_ok == len(records) - 1:
@@ -276,11 +257,10 @@ def detect_critical_share(
         lo = records[last_ok].alpha
         hi = records[last_ok + 1].alpha
         res_lo: Optional[EquilibriumResult] = None
-        while hi - lo > resolution / 4.0:
+        while hi - lo > BISECTION_RESOLUTION / 4.0:
             mid = 0.5 * (lo + hi)
             res_mid = solve_at(mid)
-            supports = compute_supports(
-                res_mid.z_star, res_mid.f_star, demand, eps)
+            supports = compute_supports(res_mid.z_star, res_mid.f_star, demand)
             if supports.paths_C <= supports.paths_S:
                 lo, res_lo = mid, res_mid
             else:
@@ -297,14 +277,14 @@ def detect_critical_share(
     if alpha_tilde > 0.0 and result_tilde is not None:
         for rec in flat:
             candidate = construct_scaled_equilibrium(
-                result_tilde, alpha_tilde, rec.alpha, eps=eps)
+                result_tilde, alpha_tilde, rec.alpha)
             resid = wardrop_residual(
-                net, inc, (base.with_share(rec.alpha),), candidate, eps=eps)
+                net, inc, (base.with_share(rec.alpha),), candidate)
             construction_residual = max(construction_residual, resid)
 
     return CriticalShareReport(
         alpha_tilde=float(alpha_tilde),
-        poa_flat_ok=bool(flat_dev <= tol),
+        poa_flat_ok=bool(flat_dev <= POA_FLAT_TOL),
         construction_residual=float(construction_residual),
         flat_deviation=float(flat_dev),
         bracket=bracket,

@@ -25,7 +25,6 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,23 +60,6 @@ EXIT_IO = 3
 
 class NetworkFormatError(ValueError):
     """Malformed or invalid network description file."""
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation."""
-
-    command: str
-    network_path: Optional[str] = None
-    alpha: Optional[float] = None
-    grid: Optional[int] = None
-    tol: float = 1e-8
-    max_iters: int = 200_000
-    out: Optional[str] = None
-    seed: Optional[int] = None
-    links: int = 3
-    demand: float = 1.0
-    exploratory: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +270,8 @@ def _log(message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load(config: RunConfig) -> tuple[Network, IncidenceStructure]:
-    net = parse_network_file(config.network_path)
+def _load(args: argparse.Namespace) -> tuple[Network, IncidenceStructure]:
+    net = parse_network_file(args.network_path)
     return net, enumerate_paths(net)
 
 
@@ -346,112 +328,112 @@ def _sweep_csv(net: Network, records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_sweep(config: RunConfig, net, inc):
+def _run_sweep(args: argparse.Namespace, net, inc):
     """Sweep records over the configured grid and the exit code: 2, with
     one warning line, when some share did not converge."""
-    grid_n = config.grid if config.grid else 101
+    grid_n = args.grid if args.grid else 101
     grid = np.linspace(0.0, 1.0, grid_n)
     records = analysis.sweep_alpha(
-        net, inc, grid=grid, tol=config.tol, max_iters=config.max_iters)
+        net, inc, grid=grid, tol=args.tol, max_iters=args.max_iters)
     if all(rec.converged for rec in records):
         return records, EXIT_OK
     _log("warning: some sweep points did not converge")
     return records, EXIT_NOT_CONVERGED
 
 
-def _cmd_validate(config: RunConfig) -> int:
-    net = _parse_structure(config.network_path)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    net = _parse_structure(args.network_path)
     report = validate_network(net)
-    _emit_json({"valid": not report, "violations": report}, config.out)
+    _emit_json({"valid": not report, "violations": report}, args.out)
     if report:
-        _log(f"error: {_invalid_message(config.network_path, report)}")
+        _log(f"error: {_invalid_message(args.network_path, report)}")
         return EXIT_IO
     return EXIT_OK
 
 
-def _cmd_check(config: RunConfig) -> int:
-    net, _ = _load(config)
+def _cmd_check(args: argparse.Namespace) -> int:
+    net, _ = _load(args)
     D = net.total_demand()
     report = check_conditions(net, D if D > 0 else 1.0)
     payload = dataclasses.asdict(report)
-    _emit_json(payload, config.out)
+    _emit_json(payload, args.out)
     ok = report.convexity_ok and report.strong_mono_ok
     return EXIT_OK if ok else EXIT_ASSUMPTION
 
 
-def _cmd_solve(config: RunConfig) -> int:
-    net, inc = _load(config)
-    ods = _ods_with_alpha(net, config.alpha)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    net, inc = _load(args)
+    ods = _ods_with_alpha(net, args.alpha)
     try:
         result = solve_equilibrium(
-            net, inc, ods, tol=config.tol, max_iters=config.max_iters)
+            net, inc, ods, tol=args.tol, max_iters=args.max_iters)
     except NotConverged as exc:
-        _emit_json(_solve_payload(net, inc, exc.result), config.out)
+        _emit_json(_solve_payload(net, inc, exc.result), args.out)
         return EXIT_NOT_CONVERGED
-    _emit_json(_solve_payload(net, inc, result), config.out)
+    _emit_json(_solve_payload(net, inc, result), args.out)
     return EXIT_OK
 
 
-def _cmd_optimum(config: RunConfig) -> int:
-    net, inc = _load(config)
+def _cmd_optimum(args: argparse.Namespace) -> int:
+    net, inc = _load(args)
     F, T = solve_system_optimum(net, inc, net.od_pairs)
     payload = {
         "total_delay_min": T,
         "links": [{"id": link.id, "F": F[l]}
                   for l, link in enumerate(net.links)],
     }
-    _emit_json(payload, config.out)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    net, inc = _load(config)
-    records, code = _run_sweep(config, net, inc)
-    _emit(_sweep_csv(net, records), config.out)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    net, inc = _load(args)
+    records, code = _run_sweep(args, net, inc)
+    _emit(_sweep_csv(net, records), args.out)
     return code
 
 
-def _cmd_critical_share(config: RunConfig) -> int:
-    net, inc = _load(config)
-    records, code = _run_sweep(config, net, inc)
+def _cmd_critical_share(args: argparse.Namespace) -> int:
+    net, inc = _load(args)
+    records, code = _run_sweep(args, net, inc)
     if code != EXIT_OK:
         return code
     report = analysis.detect_critical_share(
-        net, inc, records, solver_tol=config.tol)
-    _emit_json(dataclasses.asdict(report), config.out)
+        net, inc, records, solver_tol=args.tol)
+    _emit_json(dataclasses.asdict(report), args.out)
     return EXIT_OK
 
 
-def _cmd_monotonicity(config: RunConfig) -> int:
-    net, inc = _load(config)
-    records, code = _run_sweep(config, net, inc)
+def _cmd_monotonicity(args: argparse.Namespace) -> int:
+    net, inc = _load(args)
+    records, code = _run_sweep(args, net, inc)
     if code != EXIT_OK:
         return code
     report = analysis.monotonicity_report(
-        records, net, slack=10.0 * config.tol,
-        exploratory=config.exploratory)
+        records, net, slack=10.0 * args.tol,
+        exploratory=args.exploratory)
     payload = dataclasses.asdict(report)
     payload.pop("witnesses", None)
-    _emit_json(payload, config.out)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 
-def _cmd_oracle_compare(config: RunConfig) -> int:
-    net, inc = _load(config)
-    ods = _ods_with_alpha(net, config.alpha)
+def _cmd_oracle_compare(args: argparse.Namespace) -> int:
+    net, inc = _load(args)
+    ods = _ods_with_alpha(net, args.alpha)
     if len(ods) != 1 or inc.n_paths > oracle.MAX_PATHS:
         raise analysis.AssumptionViolated(
             f"oracle-compare needs one OD pair and at most {oracle.MAX_PATHS} "
             f"paths (the network has {inc.n_paths} paths over {len(ods)} "
             "OD pair(s))")
-    grid_n = config.grid if config.grid else 2001
+    grid_n = args.grid if args.grid else 2001
     cells = oracle.grid_cells(inc.n_paths, ods[0], grid_n)
     if cells > oracle.MAX_GRID_CELLS:
         raise analysis.AssumptionViolated(
             f"oracle-compare grid of {cells} cells exceeds the oracle's "
             f"limit of {oracle.MAX_GRID_CELLS} (use a smaller --grid)")
     result = solve_equilibrium(
-        net, inc, ods, tol=config.tol, max_iters=config.max_iters)
+        net, inc, ods, tol=args.tol, max_iters=args.max_iters)
     oracle_load, certificate = oracle.brute_force_equilibrium(
         net, inc, ods, grid_n)
     F_opt, T_opt = solve_system_optimum(net, inc, ods)
@@ -468,17 +450,17 @@ def _cmd_oracle_compare(config: RunConfig) -> int:
         "total_delay_solver": T_opt,
         "total_delay_oracle": T_oracle,
     }
-    _emit_json(payload, config.out)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 
-def _cmd_gen(config: RunConfig) -> int:
-    seed = config.seed if config.seed is not None else 0
+def _cmd_gen(args: argparse.Namespace) -> int:
+    seed = args.seed if args.seed is not None else 0
     try:
-        net = gen_random_parallel(seed, config.links, config.demand)
+        net = gen_random_parallel(seed, args.links, args.demand)
     except ValueError as exc:
         raise NetworkFormatError(f"gen: {exc}") from exc
-    _emit_json(network_to_dict(net), config.out)
+    _emit_json(network_to_dict(net), args.out)
     return EXIT_OK
 
 
@@ -495,10 +477,11 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a run configuration; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Dispatch parsed command-line arguments; returns the process exit
+    code."""
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except (NetworkFormatError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_IO
@@ -542,23 +525,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
+def config_from_args(
+    argv: Optional[Sequence[str]] = None,
+) -> argparse.Namespace:
+    """Parse the command line; usage errors exit 3 with one stderr line."""
     args = build_parser().parse_args(argv)
     if args.grid is not None and args.grid < 2:
         build_parser().error("--grid must be at least 2")
-    return RunConfig(
-        command=args.command,
-        network_path=args.network_path,
-        alpha=args.alpha,
-        grid=args.grid,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        out=args.out,
-        seed=args.seed,
-        links=args.links,
-        demand=args.demand,
-        exploratory=args.exploratory,
-    )
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -18,6 +18,9 @@ A support-restricted Newton polish refines the iterate after the stopping
 test is met, driving residuals to near machine precision; it is guarded
 and falls back to the raw iterate whenever it does not strictly improve
 both certificates.
+
+The step is 0.9 / (Q * |A|^2), with Q from ``check_conditions`` on the
+network itself; a network whose conditions fail is not solved.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calculus import (
-    ConditionsReport,
     FlowProfile,
     LoadProfile,
     check_conditions,
@@ -42,7 +44,8 @@ from .netmodel import IncidenceStructure, Network, OdSpec, feasibility_residual
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 200_000
 FEASIBILITY_TOL = 1e-10
-USED_PATH_EPS = 1e-6
+# a path or link is used when its flow exceeds SUPPORT_EPS times the demand
+SUPPORT_EPS = 1e-6
 
 
 class NotConverged(RuntimeError):
@@ -54,7 +57,7 @@ class NotConverged(RuntimeError):
 
 
 class ConditionsUnverified(RuntimeError):
-    """Strong monotonicity was not certified and no override was given."""
+    """Strong monotonicity of the game operator was not certified."""
 
 
 @dataclass(frozen=True)
@@ -94,19 +97,17 @@ def wardrop_residual(
     inc: IncidenceStructure,
     ods: Sequence[OdSpec],
     z: FlowProfile,
-    eps: float = USED_PATH_EPS,
 ) -> float:
     """Largest cost spread over used paths, across classes and OD pairs.
 
-    For each OD pair, every path carrying more than eps * D of selfish flow
-    is compared against the shortest path delay, and every fleet-used path
-    against the shortest marginal delay. Zero (up to solver tolerance) iff
-    both equilibrium conditions hold.
+    For each OD pair, every path carrying more than SUPPORT_EPS * D of
+    selfish flow is compared against the shortest path delay, and every
+    fleet-used path against the shortest marginal delay. Zero (up to
+    solver tolerance) iff both equilibrium conditions hold.
     """
     D_total = float(sum(od.demand_total for od in ods))
     _require_feasible(inc, ods, z, D_total)
     ctx = _EngineContext(net, inc, ods)
-    ctx.eps_used = eps * D_total
     wr, _, _, _ = ctx.residuals(z.stacked()[None, :])
     return float(wr[0])
 
@@ -138,26 +139,20 @@ def solve_equilibrium(
     *,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    step: Optional[float] = None,
-    conditions: Optional[ConditionsReport] = None,
-    force: bool = False,
     init: Optional[FlowProfile] = None,
-    polish: bool = True,
-    eps: float = USED_PATH_EPS,
 ) -> EquilibriumResult:
-    """Solve the two-class game to tolerance from a deterministic start.
+    """Solve the two-class game to tolerance, from the projection of
+    ``init`` when given and from uniform path flows otherwise.
 
     Stops when the Wardrop residual is at most ``tol`` and the gap is at
-    most ``tol * (1 + f'H(f))``. The step defaults to 0.9 / (Q * |A|^2)
-    with Q taken from the conditions report, which is computed here unless
-    supplied. Raises ConditionsUnverified when strong monotonicity is not
-    certified and ``force`` is not set, and NotConverged (carrying the last
-    iterate) after ``max_iters``, or at once when the costs are not finite.
+    most ``tol * (1 + f'H(f))``, then applies the guarded Newton polish.
+    Raises ConditionsUnverified when the network's own conditions report
+    does not certify strong monotonicity, and NotConverged (carrying the
+    last iterate) after ``max_iters``, or at once when the costs are not
+    finite.
     """
     results = _solve_many(
-        net, inc, ods, alphas=None, tol=tol, max_iters=max_iters, step=step,
-        conditions=conditions, force=force, init=init, polish=polish, eps=eps,
-    )
+        net, inc, ods, alphas=None, tol=tol, max_iters=max_iters, init=init)
     result = results[0]
     if not result.converged:
         reason = (f"no convergence after {max_iters} iterations"
@@ -179,11 +174,6 @@ def solve_equilibrium_batch(
     *,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    step: Optional[float] = None,
-    conditions: Optional[ConditionsReport] = None,
-    force: bool = False,
-    polish: bool = True,
-    eps: float = USED_PATH_EPS,
 ) -> list[EquilibriumResult]:
     """Solve one single-OD instance at many fleet shares simultaneously.
 
@@ -191,12 +181,12 @@ def solve_equilibrium_batch(
     vectorized counterpart of running independent solvers in parallel);
     non-convergence is reported per share, never raised. A share whose
     costs are not finite stops at once with an infinite Wardrop residual.
+    Stopping rule, polish and conditions gate are those of
+    ``solve_equilibrium``.
     """
     return _solve_many(
         net, inc, (od,), alphas=list(alphas), tol=tol, max_iters=max_iters,
-        step=step, conditions=conditions, force=force, init=None,
-        polish=polish, eps=eps,
-    )
+        init=None)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +212,7 @@ class _EngineContext:
         self.groups = _width_groups(self.od_cols, self.P)
         self.ods = tuple(ods)
         self.D_total = float(sum(od.demand_total for od in ods))
-        self.eps_used = USED_PATH_EPS * self.D_total
+        self.eps_used = SUPPORT_EPS * self.D_total
         self.dem = _demand_row(ods)
 
     def set_alphas(self, alphas: Sequence[float]) -> None:
@@ -338,32 +328,19 @@ def _solve_many(
     alphas: Optional[list[float]],
     tol: float,
     max_iters: int,
-    step: Optional[float],
-    conditions: Optional[ConditionsReport],
-    force: bool,
     init: Optional[FlowProfile],
-    polish: bool,
-    eps: float,
 ) -> list[EquilibriumResult]:
     ctx = _EngineContext(net, inc, ods)
-    ctx.eps_used = eps * ctx.D_total
     if alphas is not None:
         ctx.set_alphas(alphas)
     n = 1 if alphas is None else len(alphas)
 
     if ctx.D_total > 0.0:
-        if conditions is None and (step is None or not force):
-            conditions = check_conditions(net, ctx.D_total)
-        if conditions is not None and not conditions.strong_mono_ok and not force:
+        conditions = check_conditions(net, ctx.D_total)
+        if not conditions.strong_mono_ok:
             raise ConditionsUnverified(
                 "strong monotonicity not certified "
-                f"(worst link {conditions.worst_link}); pass force=True to "
-                "solve anyway"
-            )
-
-    if step is not None:
-        gamma = float(step)
-    elif ctx.D_total > 0:
+                f"(worst link {conditions.worst_link})")
         A_norm_sq = float(np.linalg.norm(ctx.A, 2)) ** 2
         gamma = 0.9 / max(conditions.Q * A_norm_sq, 1e-12)
     else:
@@ -395,10 +372,9 @@ def _solve_many(
     converged = ~active & np.isfinite(gap)
     iters[active] = max_iters
 
-    if polish:
-        for i in range(n):
-            if converged[i]:
-                z[i] = _polish_row(ctx, z[i], i)
+    for i in range(n):
+        if converged[i]:
+            z[i] = _polish_row(ctx, z[i], i)
 
     wr, gap, _, G = ctx.residuals(z)
     theta, mu = G[:, :ctx.P].min(axis=1), G[:, ctx.P:].min(axis=1)

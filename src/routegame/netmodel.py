@@ -34,22 +34,6 @@ class DelayPoly:
             raise ValueError("delay must have 4 coefficients (a0, a1, a2, a3)")
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def a0(self) -> float:
-        return self.coefficients[0]
-
-    @property
-    def a1(self) -> float:
-        return self.coefficients[1]
-
-    @property
-    def a2(self) -> float:
-        return self.coefficients[2]
-
-    @property
-    def a3(self) -> float:
-        return self.coefficients[3]
-
 
 @dataclass(frozen=True)
 class Link:
@@ -97,12 +81,6 @@ class Network:
 
     def total_demand(self) -> float:
         return float(sum(od.demand_total for od in self.od_pairs))
-
-    def link_index(self, link_id: str) -> int:
-        for i, link in enumerate(self.links):
-            if link.id == link_id:
-                return i
-        raise KeyError(link_id)
 
     def is_parallel(self) -> bool:
         """True when the network is a bundle of single-link origin-destination

@@ -16,6 +16,7 @@ feasible polytope.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -34,15 +35,13 @@ def solve_system_optimum(
     inc: IncidenceStructure,
     ods: Sequence[OdSpec],
     *,
-    tol: float = FW_TOL,
     max_iters: int = FW_MAX_ITERS,
-    line_tol: float = LINE_SEARCH_TOL,
-    pairwise: bool = True,
 ) -> tuple[np.ndarray, float]:
     """Minimize total delay over aggregate loads; returns (F_omega, T_min).
 
-    Stops when the Frank-Wolfe duality gap falls below tol * (1 + T).
-    Raises NotConverged after ``max_iters``.
+    Stops when the Frank-Wolfe duality gap falls below FW_TOL * (1 + T).
+    Raises NotConverged after ``max_iters``, or at once when the costs are
+    not finite.
     """
     coeffs = coefficient_table(net)
     A = np.ascontiguousarray(inc.matrix)
@@ -60,7 +59,7 @@ def solve_system_optimum(
         return A @ y, 0.0
 
     tiny = 1e-15 * D_total
-    for _ in range(max_iters):
+    for it in range(max_iters):
         F = A @ y
         # d(F) + F * d'(F) is the marginal delay of an all-fleet load
         d, t = link_costs(coeffs, 0.0, F)
@@ -70,30 +69,35 @@ def solve_system_optimum(
             y_aon[cols[np.argmin(cp[cols])]] = demand
         gap = float((y - y_aon) @ cp)
         T = float(np.sum(F * d))
-        if gap <= tol * (1.0 + T):
+        if not (math.isfinite(gap) and math.isfinite(T)):
+            raise NotConverged(
+                f"system optimum: non-finite costs after {it} iterations "
+                f"(gap {gap:.3e})",
+                result=(F, T),
+            )
+        if gap <= FW_TOL * (1.0 + T):
             return F, T
 
         dF = A @ y_aon - F
-        sigma = _bisect_step(coeffs, F, dF, 1.0, line_tol)
+        sigma = _bisect_step(coeffs, F, dF, 1.0)
         y = y + sigma * (y_aon - y)
 
-        if pairwise:
-            F = A @ y
-            _, t = link_costs(coeffs, 0.0, F)
-            cp = t @ A
-            for cols, demand in zip(od_cols, demands):
-                if demand <= 0.0:
-                    continue
-                best = cols[np.argmin(cp[cols])]
-                used = cols[y[cols] > tiny]
-                worst = used[np.argmax(cp[used])]
-                if worst == best or cp[worst] - cp[best] <= 0.0:
-                    continue
-                dF = A[:, best] - A[:, worst]
-                sigma = _bisect_step(coeffs, F, dF, float(y[worst]), line_tol)
-                y[best] += sigma
-                y[worst] -= sigma
-                F = F + sigma * dF
+        F = A @ y
+        _, t = link_costs(coeffs, 0.0, F)
+        cp = t @ A
+        for cols, demand in zip(od_cols, demands):
+            if demand <= 0.0:
+                continue
+            best = cols[np.argmin(cp[cols])]
+            used = cols[y[cols] > tiny]
+            worst = used[np.argmax(cp[used])]
+            if worst == best or cp[worst] - cp[best] <= 0.0:
+                continue
+            dF = A[:, best] - A[:, worst]
+            sigma = _bisect_step(coeffs, F, dF, float(y[worst]))
+            y[best] += sigma
+            y[worst] -= sigma
+            F = F + sigma * dF
 
     F = A @ y
     T = float(np.sum(F * poly_eval(coeffs, F, 0)))
@@ -105,11 +109,11 @@ def solve_system_optimum(
 
 
 def _bisect_step(
-    coeffs: np.ndarray, F: np.ndarray, dF: np.ndarray,
-    sigma_max: float, line_tol: float,
+    coeffs: np.ndarray, F: np.ndarray, dF: np.ndarray, sigma_max: float
 ) -> float:
     """Exact line search: bisection on the monotone scalar derivative of the
-    total delay along F + sigma * dF, over [0, sigma_max]."""
+    total delay along F + sigma * dF, over [0, sigma_max], down to an
+    interval of LINE_SEARCH_TOL."""
 
     def derivative(sigma: float) -> float:
         _, t = link_costs(coeffs, 0.0, F + sigma * dF)
@@ -120,7 +124,7 @@ def _bisect_step(
     if derivative(0.0) >= 0.0:
         return 0.0
     lo, hi = 0.0, sigma_max
-    while hi - lo > line_tol:
+    while hi - lo > LINE_SEARCH_TOL:
         mid = 0.5 * (lo + hi)
         if derivative(mid) < 0.0:
             lo = mid

@@ -1,10 +1,51 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from routegame.fixtures import case_a, case_b, diamond, example1, example2
+from routegame.cli import parse_network_file
 from routegame.netmodel import DelayPoly, Link, Network, OdSpec, enumerate_paths
+
+NETWORKS = Path(__file__).resolve().parent.parent / "networks"
+
+
+def bundled(name: str) -> Network:
+    """A bundled network, read from ``networks/<name>.json``."""
+    return parse_network_file(str(NETWORKS / f"{name}.json"))
+
+
+def case_a() -> Network:
+    return bundled("case_a")
+
+
+def case_b() -> Network:
+    return bundled("case_b")
+
+
+def example1() -> Network:
+    return bundled("example1")
+
+
+def example2() -> Network:
+    return bundled("example2")
+
+
+def diamond() -> Network:
+    """Four links o->a->d / o->b->d, two paths of two links each."""
+    links = (
+        Link("oa", "o", "a", DelayPoly((0.0, 1.0, 0.0, 0.0))),
+        Link("ad", "a", "d", DelayPoly((0.5, 1.0, 0.0, 0.0))),
+        Link("ob", "o", "b", DelayPoly((0.5, 1.0, 0.0, 0.0))),
+        Link("bd", "b", "d", DelayPoly((0.0, 1.0, 0.0, 0.0))),
+    )
+    return Network(
+        nodes=("o", "a", "b", "d"),
+        links=links,
+        od_pairs=(OdSpec("o", "d", 1.0, 0.0),),
+        name="diamond",
+    )
 
 
 def single_link(D: float = 1.0, coeffs=(0.0, 1.0, 0.0, 0.0)) -> Network:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import case_a, case_b, example1, example2
 from routegame.analysis import (
     construct_scaled_equilibrium,
     detect_critical_share,
@@ -32,7 +33,6 @@ from routegame.equilibrium import (
     vi_gap,
     wardrop_residual,
 )
-from routegame.fixtures import case_a, case_b, example1, example2
 from routegame.netmodel import enumerate_paths
 from routegame.oracle import brute_force_equilibrium, brute_force_optimum
 from routegame.sysopt import solve_system_optimum
@@ -62,7 +62,7 @@ def random_suite():
         net = gen_random_parallel(seed, n_links, D)
         inc = enumerate_paths(net)
         cond = check_conditions(net, D)
-        sweep = sweep_alpha(net, inc, grid=GRID_101, conditions=cond)
+        sweep = sweep_alpha(net, inc, grid=GRID_101)
         instances.append({
             "seed": seed, "D": D, "net": net, "inc": inc,
             "cond": cond, "sweep": sweep,
@@ -81,7 +81,7 @@ def fixture_sweeps():
         inc = enumerate_paths(net)
         D = net.total_demand()
         cond = check_conditions(net, D)
-        sweep = sweep_alpha(net, inc, grid=GRID_101, conditions=cond)
+        sweep = sweep_alpha(net, inc, grid=GRID_101)
         out[name] = {"net": net, "inc": inc, "cond": cond, "sweep": sweep,
                      "D": D}
     net = example2()
@@ -89,8 +89,7 @@ def fixture_sweeps():
     D = net.total_demand()
     cond = check_conditions(net, D)
     t0 = time.perf_counter()
-    sweep = sweep_alpha(net, inc, grid=GRID_101, conditions=cond,
-                        tol=1e-10)
+    sweep = sweep_alpha(net, inc, grid=GRID_101, tol=1e-10)
     elapsed = time.perf_counter() - t0
     out["example2"] = {"net": net, "inc": inc, "cond": cond, "sweep": sweep,
                        "D": D, "elapsed": elapsed}

@@ -81,6 +81,14 @@ class TestSweep:
         for rec in sweep:
             np.testing.assert_allclose(rec.f_star.F, F0, atol=1e-7)
 
+    def test_zero_demand(self):
+        # no conditions box exists at zero demand; the sweep solves the
+        # trivial game, as solve_equilibrium does
+        net = single_link(0.0)
+        sweep = sweep_alpha(net, enumerate_paths(net), grid=[0.0, 1.0])
+        assert all(r.converged and r.poa == 1.0 and r.total_delay == 0.0
+                   for r in sweep)
+
     def test_nonconvergence_recorded_not_raised(self, net_case_b, inc_case_b):
         sweep = sweep_alpha(net_case_b, inc_case_b, grid=[0.0, 0.5],
                             max_iters=2)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import single_link, two_link
+from conftest import bundled, two_link
 from routegame.calculus import (
     FlowProfile,
     check_conditions,
@@ -243,16 +243,15 @@ class TestSolveEquilibrium:
         assert result.wardrop_residual > 0
 
     def test_conditions_gate(self):
-        net, inc = self.case_b()
-        bad = check_conditions(
-            single_link(1.0, coeffs=(1.0, 0.0, 0.0, 1.0)), 2.0)
-        assert not bad.strong_mono_ok
-        with pytest.raises(ConditionsUnverified):
-            solve_equilibrium(net, inc, _share(net, 0.0), conditions=bad)
-        res = solve_equilibrium(
-            net, inc, _share(net, 0.0), conditions=bad, force=True,
-            step=0.2)
-        assert res.converged
+        # l2's delay 1 + x^3 has zero slope at zero load (a1 = 0), so
+        # strong monotonicity fails on the box and neither solver runs
+        net = two_link((0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 1.0), 2.0)
+        inc = enumerate_paths(net)
+        assert not check_conditions(net, 2.0).strong_mono_ok
+        with pytest.raises(ConditionsUnverified, match="worst link l2"):
+            solve_equilibrium(net, inc, _share(net, 0.0))
+        with pytest.raises(ConditionsUnverified, match="worst link l2"):
+            solve_equilibrium_batch(net, inc, net.od_pairs[0], [0.0, 1.0])
 
     def test_zero_demand(self):
         net = two_link((0.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0), 0.0)
@@ -518,3 +517,17 @@ def test_certificates_fail_on_non_finite_costs():
     with np.errstate(all="ignore"):
         assert wardrop_residual(net, inc, net.od_pairs, z) == np.inf
         assert not vi_gap(net, inc, net.od_pairs, z) <= 1e-8
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.6, 1.0])
+@pytest.mark.parametrize("name", ["case_a", "case_b", "example1", "example2",
+                                  "golden_parallel_seed1"])
+def test_polish_reaches_machine_precision(name, alpha):
+    # the extragradient stop leaves both certificates near tol = 1e-8; the
+    # Newton polish on the fixed support takes them to ~1e-15, so a broken
+    # polish or a guard that always rejects shows up here
+    net = bundled(name)
+    inc = enumerate_paths(net)
+    res = solve_equilibrium(net, inc, _share(net, alpha))
+    assert res.wardrop_residual <= 1e-12
+    assert res.vi_gap <= 1e-12
