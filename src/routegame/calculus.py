@@ -180,13 +180,23 @@ def total_delay(net: Network, f: LoadProfile) -> float:
     return float(np.sum(F * poly_eval(coeffs, F, 0)))
 
 
+def link_jacobian(
+    coeffs: np.ndarray, fS: np.ndarray, fC: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entries p = d'(F) and w = 2p + fC d''(F) of each link's Jacobian
+    block J = [[p, p], [w - p, w]] of (d, m) in (fS, fC), for an (L, 4)
+    coefficient table; the loads broadcast against L along their last
+    axis."""
+    F = fS + fC
+    p = poly_eval(coeffs, F, 1)
+    return p, 2.0 * p + fC * poly_eval(coeffs, F, 2)
+
+
 def corner_norms_sq(coeffs: np.ndarray, D_total: float) -> np.ndarray:
     """Squared spectral norm of each link's Jacobian block at the corner
     (D, D) of the box, for an (L, 4) coefficient table; Q is the square
     root of the largest (see ``check_conditions``)."""
-    F = 2.0 * D_total
-    p = poly_eval(coeffs, F, 1)
-    w = 2.0 * p + D_total * poly_eval(coeffs, F, 2)
+    p, w = link_jacobian(coeffs, D_total, D_total)
     v = w - p
     gram_mean = 0.5 * (2.0 * p * p + v * v + (p + v) ** 2)
     return gram_mean + np.sqrt(np.maximum(gram_mean**2 - p**4, 0.0))

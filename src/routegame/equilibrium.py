@@ -14,10 +14,11 @@ conditions; the returned flow is one representative. Solutions are
 certified through the Wardrop residual (cost spread on used paths) and an
 exactly computable gap function.
 
-A support-restricted Newton polish refines the iterate after the stopping
-test is met, driving residuals to near machine precision; it is guarded
-and falls back to the raw iterate whenever it does not strictly improve
-both certificates.
+A support-restricted Newton polish refines the iterates after the stopping
+test is met, driving residuals to near machine precision. It solves one
+batched KKT system for all converged rows of a batch, and is guarded per
+row: a row falls back to its raw iterate whenever the polish would make
+either certificate worse.
 
 The step is 0.9 / (Q * |A|^2), with Q from ``check_conditions`` on the
 network itself; a network whose conditions fail is not solved.
@@ -37,7 +38,7 @@ from .calculus import (
     check_conditions,
     coefficient_table,
     link_costs,
-    poly_eval,
+    link_jacobian,
 )
 from .netmodel import IncidenceStructure, Network, OdSpec, feasibility_residual
 
@@ -229,15 +230,11 @@ class _EngineContext:
         d, m = link_costs(self.coeffs, fS, fC)
         return fS, fC, d, m, np.concatenate([d @ self.A, m @ self.A], axis=1)
 
-    def operator(self, z: np.ndarray) -> np.ndarray:
-        return self.costs(z)[4]
-
-    def residuals(self, z: np.ndarray, dem: Optional[np.ndarray] = None):
+    def residuals(self, z: np.ndarray):
         """Wardrop residual, gap, f'H(f) and the operator per row of the
         batch. A row whose gap is not finite has non-finite costs; its
         Wardrop residual is infinite, so no certificate can hold."""
-        if dem is None:
-            dem = self.dem
+        dem = self.dem
         fS, fC, d, m, G = self.costs(z)
         wr = np.zeros(z.shape[0])
         lowest = np.empty_like(dem)
@@ -306,6 +303,16 @@ def _project_blocks(z: np.ndarray, groups, dem: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_sums(ctx: _EngineContext, v: np.ndarray) -> np.ndarray:
+    """Sum of each class-OD block of each row of v, one call per group.
+    Each block is summed along its columns in order, as numpy sums one
+    block alone; a membership-matrix product would round differently."""
+    out = np.empty((v.shape[0], 2 * ctx.K))
+    for idx, blk in ctx.groups:
+        out[:, blk] = v[:, idx].sum(axis=2)
+    return out
+
+
 def _uniform_start(ctx: _EngineContext, n: int) -> np.ndarray:
     z0 = np.empty((n, 2 * ctx.P))
     for idx, blk in ctx.groups:
@@ -362,7 +369,7 @@ def _solve_many(
     while it < max_iters and active.any():
         it += 1
         z_half = _project_blocks(z - gamma * g, groups, dem)
-        z_new = _project_blocks(z - gamma * ctx.operator(z_half), groups, dem)
+        z_new = _project_blocks(z - gamma * ctx.costs(z_half)[4], groups, dem)
         z = np.where(active[:, None], z_new, z)
         wr, gap, fTH, g = ctx.residuals(z)
         ok = (wr <= tol) & (gap <= tol * (1.0 + fTH))
@@ -372,10 +379,7 @@ def _solve_many(
     converged = ~active & np.isfinite(gap)
     iters[active] = max_iters
 
-    for i in range(n):
-        if converged[i]:
-            z[i] = _polish_row(ctx, z[i], i)
-
+    z = _polish(ctx, z, converged)
     wr, gap, _, G = ctx.residuals(z)
     theta, mu = G[:, :ctx.P].min(axis=1), G[:, ctx.P:].min(axis=1)
     results = []
@@ -394,127 +398,89 @@ def _solve_many(
     return results
 
 
-def _polish_row(ctx: _EngineContext, z_row: np.ndarray, row: int) -> np.ndarray:
-    """Newton refinement on the fixed support of a converged iterate.
+def _polish(
+    ctx: _EngineContext, z: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Newton refinement of the selected rows of a batch, each on the fixed
+    support of its converged iterate.
 
     Solves the square system {used-path costs equal per class and OD pair,
-    demands met} for the used path flows and the per-OD cost levels, with
-    flows below the support threshold zeroed out. The refined point
-    replaces the iterate only when it stays non-negative, is feasible, and
-    does not worsen either residual certificate.
+    demands met} for the used path flows and one cost level per class-OD
+    block, with flows below the support threshold zeroed out. All rows
+    share one batched system over the union of their used columns; a row's
+    other columns and its zero-demand blocks are pinned by identity rows.
+    A row whose positive-demand block has no used path is left as it is.
+    The refined point replaces a row only when it stays non-negative, is
+    feasible, and does not worsen either residual certificate.
     """
-    P, K = ctx.P, ctx.K
-    dem_row = ctx.dem[row:row + 1]
-    wr0, gap0, _, _ = ctx.residuals(z_row[None, :], dem_row)
-
-    s_blocks: list[tuple[int, np.ndarray]] = []
-    c_blocks: list[tuple[int, np.ndarray]] = []
-    for k, cols in enumerate(ctx.od_cols):
-        if ctx.dem[row, k] > 0.0:
-            u = cols[z_row[cols] > ctx.eps_used]
-            if len(u) == 0:
-                return z_row
-            s_blocks.append((k, u))
-        if ctx.dem[row, K + k] > 0.0:
-            u = cols[z_row[P + cols] > ctx.eps_used]
-            if len(u) == 0:
-                return z_row
-            c_blocks.append((k, u))
-    if not s_blocks and not c_blocks:
-        return z_row
-
-    uS = (np.concatenate([u for _, u in s_blocks])
-          if s_blocks else np.empty(0, dtype=int))
-    uC = (np.concatenate([u for _, u in c_blocks])
-          if c_blocks else np.empty(0, dtype=int))
-    nS, nC = len(uS), len(uC)
-    nSb, nCb = len(s_blocks), len(c_blocks)
-    dim = nS + nC + nSb + nCb
-    AS = ctx.A[:, uS]
-    AC = ctx.A[:, uC]
-
-    x = np.concatenate([
-        z_row[uS], z_row[P + uC], np.zeros(nSb), np.zeros(nCb)
-    ])
-
-    def unpack(vec: np.ndarray) -> np.ndarray:
-        z = np.zeros_like(z_row)
-        z[uS] = vec[:nS]
-        z[P + uC] = vec[nS:nS + nC]
+    P, K, L = ctx.P, ctx.K, ctx.A.shape[0]
+    block = np.empty(2 * P, dtype=int)
+    for idx, blk in ctx.groups:
+        block[idx] = blk[:, None]
+    pos = ctx.dem > 0.0
+    used = (z > ctx.eps_used) & pos[:, block]
+    counts = _block_sums(ctx, used)
+    rows = rows & pos.any(axis=1) & ~(pos & (counts == 0)).any(axis=1)
+    if not rows.any():
         return z
 
-    # initial cost levels from the current iterate
-    z_cur = unpack(x)
-    d, m = link_costs(ctx.coeffs, ctx.A @ z_cur[:P], ctx.A @ z_cur[P:])
-    off = 0
-    for b, (_, u) in enumerate(s_blocks):
-        x[nS + nC + b] = (d @ AS)[off:off + len(u)].mean()
-        off += len(u)
-    off = 0
-    for b, (_, u) in enumerate(c_blocks):
-        x[nS + nC + nSb + b] = (m @ AC)[off:off + len(u)].mean()
-        off += len(u)
+    cols = np.flatnonzero(used[rows].any(axis=0))
+    n_u, N = len(cols), len(cols) + 2 * K
+    U = used[rows][:, cols]
+    pos, dem, counts = pos[rows], ctx.dem[rows], counts[rows]
+    E = (block[cols, None] == np.arange(2 * K)).astype(float)
+    B = np.kron(np.eye(2), ctx.A)[:, cols]
+    BS, BC = B[:L], B[L:]
 
+    def scatter(y: np.ndarray) -> np.ndarray:
+        full = np.zeros((y.shape[0], 2 * P))
+        full[:, cols] = y
+        return full
+
+    # cost levels start at each block's mean used-path cost
+    y = np.where(U, z[rows][:, cols], 0.0)
+    G = np.where(U, ctx.costs(scatter(y))[4][:, cols], 0.0)
+    t = _block_sums(ctx, scatter(G)) / np.maximum(counts, 1.0)
+    x = np.concatenate([y, t], axis=1)
+
+    act = np.arange(x.shape[0])
     for _ in range(10):
-        z_cur = unpack(x)
-        fC = ctx.A @ z_cur[P:]
-        F = ctx.A @ z_cur[:P] + fC
-        d = poly_eval(ctx.coeffs, F, 0)
-        d1 = poly_eval(ctx.coeffs, F, 1)
-        d2 = poly_eval(ctx.coeffs, F, 2)
-        m = d + fC * d1
-
-        resid = np.zeros(dim)
-        jac = np.zeros((dim, dim))
-        jac[:nS, :nS] = AS.T @ (d1[:, None] * AS)
-        jac[:nS, nS:nS + nC] = AS.T @ (d1[:, None] * AC)
-        jac[nS:nS + nC, :nS] = AC.T @ ((d1 + fC * d2)[:, None] * AS)
-        jac[nS:nS + nC, nS:nS + nC] = AC.T @ ((2.0 * d1 + fC * d2)[:, None] * AC)
-
-        dP = d @ AS
-        mP = m @ AC
-        off = 0
-        for b, (k, u) in enumerate(s_blocks):
-            rows = slice(off, off + len(u))
-            resid[rows] = dP[rows] - x[nS + nC + b]
-            jac[rows, nS + nC + b] = -1.0
-            off += len(u)
-        off = 0
-        for b, (k, u) in enumerate(c_blocks):
-            rows = slice(nS + off, nS + off + len(u))
-            resid[rows] = mP[off:off + len(u)] - x[nS + nC + nSb + b]
-            jac[rows, nS + nC + nSb + b] = -1.0
-            off += len(u)
-        # demand rows occupy the multiplier row indices, keeping J square
-        off = 0
-        for b, (k, u) in enumerate(s_blocks):
-            r = nS + nC + b
-            resid[r] = x[off:off + len(u)].sum() - ctx.dem[row, k]
-            jac[r, off:off + len(u)] = 1.0
-            off += len(u)
-        off = 0
-        for b, (k, u) in enumerate(c_blocks):
-            r = nS + nC + nSb + b
-            resid[r] = (x[nS + off:nS + off + len(u)].sum()
-                        - ctx.dem[row, K + k])
-            jac[r, nS + off:nS + off + len(u)] = 1.0
-            off += len(u)
-
-        scale = 1.0 + float(np.abs(x[nS + nC:]).max(initial=0.0))
-        if float(np.abs(resid).max()) <= 1e-13 * scale:
+        y, t = x[act, :n_u], x[act, n_u:]
+        fS, fC, _, _, G = ctx.costs(scatter(y))
+        # demand rows occupy the cost-level row indices, keeping J square
+        resid = np.concatenate([
+            np.where(U[act], G[:, cols] - t @ E.T, y),
+            np.where(pos[act], _block_sums(ctx, scatter(y)) - dem[act], t),
+        ], axis=1)
+        scale = 1.0 + np.abs(t).max(axis=1, initial=0.0)
+        going = np.abs(resid).max(axis=1) > 1e-13 * scale
+        act, resid, fS, fC = act[going], resid[going], fS[going], fC[going]
+        if not act.size:
             break
+        # path-cost Jacobian B' W B, W the per-link blocks [[p, p], [w - p, w]]
+        p, w = (a[:, :, None] for a in link_jacobian(ctx.coeffs, fS, fC))
+        WB = np.concatenate([p * (BS + BC), (w - p) * BS + w * BC], axis=1)
+        jac = np.zeros((len(act), N, N))
+        jac[:, :n_u, :n_u] = B.T @ WB
+        jac[:, :n_u, n_u:] = -E
+        jac[:, n_u:, :n_u] = E.T
+        row, i = np.nonzero(~np.concatenate([U[act], pos[act]], axis=1))
+        jac[row, i] = 0.0
+        jac[row, i, i] = 1.0
         try:
-            delta = np.linalg.solve(jac, resid)
+            delta = np.linalg.solve(jac, resid[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            delta, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-        x = x - delta
+            delta = np.stack([np.linalg.lstsq(j, r, rcond=None)[0]
+                              for j, r in zip(jac, resid)])
+        x[act] -= delta
 
-    flows = x[:nS + nC]
-    if flows.min(initial=0.0) < -1e-10:
-        return z_row
-    x[:nS + nC] = np.maximum(flows, 0.0)
-    z_new = _project_blocks(unpack(x)[None, :], ctx.groups, dem_row)
-    wr1, gap1, _, _ = ctx.residuals(z_new, dem_row)
-    if wr1[0] <= wr0[0] + 1e-15 and gap1[0] <= gap0[0] + 1e-15:
-        return z_new[0]
-    return z_row
+    flows = x[:, :n_u]
+    z_new = z.copy()
+    z_new[rows] = _project_blocks(scatter(np.maximum(flows, 0.0)),
+                                  ctx.groups, dem)
+    wr0, gap0, _, _ = ctx.residuals(z)
+    wr1, gap1, _, _ = ctx.residuals(z_new)
+    accept = (wr1 <= wr0 + 1e-15) & (gap1 <= gap0 + 1e-15)
+    accept &= rows
+    accept[rows] &= flows.min(axis=1, initial=0.0) >= -1e-10
+    return np.where(accept[:, None], z_new, z)

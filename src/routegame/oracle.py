@@ -1,9 +1,14 @@
 """Brute-force verifiers for tiny instances.
 
-These exhaustive scans share no definitions with the iterative solvers:
-the equilibrium oracle measures each player's best-deviation improvement
-over its own flow grid (an epsilon-equilibrium certificate), and the
-optimum oracle grid-minimizes the total delay. They exist only to provide
+These exhaustive scans share none of the iterative solvers' iteration,
+projection or certificate code: the equilibrium oracle measures each
+player's best-deviation improvement over its own flow grid (an
+epsilon-equilibrium certificate), and the optimum oracle grid-minimizes
+the total delay. From ``calculus`` they take only the delay model, which
+the solvers evaluate too: the (L, 4) coefficient table
+(``coefficient_table``), the Horner forms of the delay polynomial
+(``poly_eval``) and of its antiderivative (``poly_antiderivative``), and
+the ``LoadProfile`` record they return. They exist only to provide
 independent ground truth on two- and three-path instances.
 """
 
@@ -28,15 +33,24 @@ MAX_PATHS = 3  # paths of the single OD pair the equilibrium oracle handles
 
 def grid_cells(n_paths: int, od: OdSpec, grid_n: int) -> int:
     """Number of (selfish, fleet) cells the equilibrium oracle scores, in
-    closed form: a class with positive demand has C(grid_n + P - 2, P - 1)
-    grid points on its simplex, a class with zero demand has one."""
+    closed form (see ``_grid_points``)."""
+    return (_grid_points(n_paths, od.demand_selfish, grid_n)
+            * _grid_points(n_paths, od.demand_fleet, grid_n))
 
-    def points(total: float) -> int:
-        if total <= 0.0:
-            return 1
-        return math.comb(grid_n + n_paths - 2, n_paths - 1)
 
-    return points(od.demand_selfish) * points(od.demand_fleet)
+def _grid_points(n_paths: int, total: float, grid_n: int) -> int:
+    """Number of rows of ``_simplex_grid``, in closed form: a positive
+    total has C(grid_n + P - 2, P - 1) grid points on its simplex, a total
+    of zero has one."""
+    if total <= 0.0:
+        return 1
+    return math.comb(grid_n + n_paths - 2, n_paths - 1)
+
+
+def _require_grid_size(cells: int) -> None:
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(
+            f"grid too large ({cells} cells, limit {MAX_GRID_CELLS})")
 
 
 def _simplex_grid(n_paths: int, total: float, grid_n: int) -> np.ndarray:
@@ -85,10 +99,7 @@ def brute_force_equilibrium(
         raise ValueError(
             f"the equilibrium oracle handles at most {MAX_PATHS} paths")
     od = ods[0]
-    cells = grid_cells(inc.n_paths, od, grid_n)
-    if cells > MAX_GRID_CELLS:
-        raise ValueError(
-            f"grid too large ({cells} cells, limit {MAX_GRID_CELLS})")
+    _require_grid_size(grid_cells(inc.n_paths, od, grid_n))
 
     ZS = _simplex_grid(inc.n_paths, od.demand_selfish, grid_n)
     ZC = _simplex_grid(inc.n_paths, od.demand_fleet, grid_n)
@@ -126,9 +137,8 @@ def brute_force_optimum(
     """Grid minimization of the total delay over aggregate path flows."""
     if len(net.od_pairs) != 1:
         raise ValueError("the optimum oracle handles a single OD pair")
+    _require_grid_size(_grid_points(inc.n_paths, D_total, grid_n))
     Y = _simplex_grid(inc.n_paths, D_total, grid_n)
-    if Y.shape[0] > MAX_GRID_CELLS:
-        raise ValueError(f"grid too large ({Y.shape[0]} cells)")
     coeffs = coefficient_table(net)
     F = Y @ inc.matrix.T
     T = np.sum(F * poly_eval(coeffs, F, 0), axis=1)

@@ -12,6 +12,7 @@ from routegame.calculus import (
     coefficient_table,
     link_costs,
     link_delay,
+    link_jacobian,
     marginal_delay,
     operator_H,
     poly_eval,
@@ -313,3 +314,31 @@ def test_link_costs_equal_poly_eval_forms():
     d0, m0 = link_costs(coeffs, 0.0, F[1])
     assert np.array_equal(d0, poly_eval(coeffs, F[1], 0))
     assert np.array_equal(m0, d0 + F[1] * poly_eval(coeffs, F[1], 1))
+
+
+def test_link_jacobian_matches_finite_differences():
+    # J = [[p, p], [w - p, w]] is the Jacobian of (d, m) in (fS, fC)
+    rng = np.random.default_rng(12)
+    coeffs = rng.uniform(0.0, 2.0, size=(5, 4))
+    fS = rng.uniform(0.1, 3.0, size=5)
+    fC = rng.uniform(0.1, 3.0, size=5)
+    p, w = link_jacobian(coeffs, fS, fC)
+    h = 1e-6
+    for step, (dd, dm) in (((h, 0.0), (p, w - p)), ((0.0, h), (p, w))):
+        d_hi, m_hi = link_costs(coeffs, fS + step[0], fC + step[1])
+        d_lo, m_lo = link_costs(coeffs, fS - step[0], fC - step[1])
+        np.testing.assert_allclose((d_hi - d_lo) / (2 * h), dd, rtol=1e-7)
+        np.testing.assert_allclose((m_hi - m_lo) / (2 * h), dm, rtol=1e-7)
+
+
+def test_link_jacobian_at_the_corner_keeps_q_bit_for_bit():
+    # Q is read from the blocks at (D, D); the expressions are those Q
+    # was first computed with, in the same order
+    rng = np.random.default_rng(13)
+    coeffs = rng.uniform(0.0, 2.0, size=(7, 4))
+    for D in (0.3, 1.0, 2.0, 17.5):
+        p, w = link_jacobian(coeffs, D, D)
+        p_ref = poly_eval(coeffs, 2.0 * D, 1)
+        assert np.array_equal(p, p_ref)
+        w_ref = 2.0 * p_ref + D * poly_eval(coeffs, 2.0 * D, 2)
+        assert np.array_equal(w, w_ref)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,17 @@ from routegame.calculus import (
     link_costs,
     link_delay,
     marginal_delay,
+    poly_eval,
 )
 from routegame.equilibrium import (
+    DEFAULT_MAX_ITERS,
     ConditionsUnverified,
     NotConverged,
     _EngineContext,
+    _polish,
     _project_blocks,
+    _solve_many,
+    _uniform_start,
     project_feasible,
     solve_equilibrium,
     solve_equilibrium_batch,
@@ -368,6 +375,134 @@ def _ref_residuals(ctx, z):
     return wr, gap, fTH
 
 
+def _ref_polish_row(ctx, z_row, row):
+    """Per-row Newton polish of the earlier engine, kept as the reference.
+
+    Solves the square system {used-path costs equal per class and OD pair,
+    demands met} for the used path flows and the per-OD cost levels, with
+    flows below the support threshold zeroed out. The refined point
+    replaces the iterate only when it stays non-negative, is feasible, and
+    does not worsen either residual certificate.
+    """
+    P, K = ctx.P, ctx.K
+    dem_row = ctx.dem[row:row + 1]
+    row_ctx = copy.copy(ctx)
+    row_ctx.dem = dem_row
+    wr0, gap0, _, _ = row_ctx.residuals(z_row[None, :])
+
+    s_blocks: list[tuple[int, np.ndarray]] = []
+    c_blocks: list[tuple[int, np.ndarray]] = []
+    for k, cols in enumerate(ctx.od_cols):
+        if ctx.dem[row, k] > 0.0:
+            u = cols[z_row[cols] > ctx.eps_used]
+            if len(u) == 0:
+                return z_row
+            s_blocks.append((k, u))
+        if ctx.dem[row, K + k] > 0.0:
+            u = cols[z_row[P + cols] > ctx.eps_used]
+            if len(u) == 0:
+                return z_row
+            c_blocks.append((k, u))
+    if not s_blocks and not c_blocks:
+        return z_row
+
+    uS = (np.concatenate([u for _, u in s_blocks])
+          if s_blocks else np.empty(0, dtype=int))
+    uC = (np.concatenate([u for _, u in c_blocks])
+          if c_blocks else np.empty(0, dtype=int))
+    nS, nC = len(uS), len(uC)
+    nSb, nCb = len(s_blocks), len(c_blocks)
+    dim = nS + nC + nSb + nCb
+    AS = ctx.A[:, uS]
+    AC = ctx.A[:, uC]
+
+    x = np.concatenate([
+        z_row[uS], z_row[P + uC], np.zeros(nSb), np.zeros(nCb)
+    ])
+
+    def unpack(vec: np.ndarray) -> np.ndarray:
+        z = np.zeros_like(z_row)
+        z[uS] = vec[:nS]
+        z[P + uC] = vec[nS:nS + nC]
+        return z
+
+    # initial cost levels from the current iterate
+    z_cur = unpack(x)
+    d, m = link_costs(ctx.coeffs, ctx.A @ z_cur[:P], ctx.A @ z_cur[P:])
+    off = 0
+    for b, (_, u) in enumerate(s_blocks):
+        x[nS + nC + b] = (d @ AS)[off:off + len(u)].mean()
+        off += len(u)
+    off = 0
+    for b, (_, u) in enumerate(c_blocks):
+        x[nS + nC + nSb + b] = (m @ AC)[off:off + len(u)].mean()
+        off += len(u)
+
+    for _ in range(10):
+        z_cur = unpack(x)
+        fC = ctx.A @ z_cur[P:]
+        F = ctx.A @ z_cur[:P] + fC
+        d = poly_eval(ctx.coeffs, F, 0)
+        d1 = poly_eval(ctx.coeffs, F, 1)
+        d2 = poly_eval(ctx.coeffs, F, 2)
+        m = d + fC * d1
+
+        resid = np.zeros(dim)
+        jac = np.zeros((dim, dim))
+        jac[:nS, :nS] = AS.T @ (d1[:, None] * AS)
+        jac[:nS, nS:nS + nC] = AS.T @ (d1[:, None] * AC)
+        jac[nS:nS + nC, :nS] = AC.T @ ((d1 + fC * d2)[:, None] * AS)
+        jac[nS:nS + nC, nS:nS + nC] = AC.T @ ((2.0 * d1 + fC * d2)[:, None] * AC)
+
+        dP = d @ AS
+        mP = m @ AC
+        off = 0
+        for b, (k, u) in enumerate(s_blocks):
+            rows = slice(off, off + len(u))
+            resid[rows] = dP[rows] - x[nS + nC + b]
+            jac[rows, nS + nC + b] = -1.0
+            off += len(u)
+        off = 0
+        for b, (k, u) in enumerate(c_blocks):
+            rows = slice(nS + off, nS + off + len(u))
+            resid[rows] = mP[off:off + len(u)] - x[nS + nC + nSb + b]
+            jac[rows, nS + nC + nSb + b] = -1.0
+            off += len(u)
+        # demand rows occupy the multiplier row indices, keeping J square
+        off = 0
+        for b, (k, u) in enumerate(s_blocks):
+            r = nS + nC + b
+            resid[r] = x[off:off + len(u)].sum() - ctx.dem[row, k]
+            jac[r, off:off + len(u)] = 1.0
+            off += len(u)
+        off = 0
+        for b, (k, u) in enumerate(c_blocks):
+            r = nS + nC + nSb + b
+            resid[r] = (x[nS + off:nS + off + len(u)].sum()
+                        - ctx.dem[row, K + k])
+            jac[r, nS + off:nS + off + len(u)] = 1.0
+            off += len(u)
+
+        scale = 1.0 + float(np.abs(x[nS + nC:]).max(initial=0.0))
+        if float(np.abs(resid).max()) <= 1e-13 * scale:
+            break
+        try:
+            delta = np.linalg.solve(jac, resid)
+        except np.linalg.LinAlgError:
+            delta, *_ = np.linalg.lstsq(jac, resid, rcond=None)
+        x = x - delta
+
+    flows = x[:nS + nC]
+    if flows.min(initial=0.0) < -1e-10:
+        return z_row
+    x[:nS + nC] = np.maximum(flows, 0.0)
+    z_new = _project_blocks(unpack(x)[None, :], ctx.groups, dem_row)
+    wr1, gap1, _, _ = row_ctx.residuals(z_new)
+    if wr1[0] <= wr0[0] + 1e-15 and gap1[0] <= gap0[0] + 1e-15:
+        return z_new[0]
+    return z_row
+
+
 def _two_od_net(alpha=0.0):
     """Two OD pairs on disjoint parallel links: 2 paths, then 3 paths."""
     links = (
@@ -404,13 +539,17 @@ def _engine_nets():
     return {"one-od": one_od, "two-od-2-3": two_od}
 
 
+# shares 0, 1 and interior ones, so the zero-demand rows of both classes
+# are included
+ENGINE_SHARES = [0.0, 0.37, 1.0, 0.81]
+
+
 @pytest.fixture(params=["one-od", "two-od-2-3"])
 def batched_engine(request):
-    """Engine context batched over shares 0, 1 and interior ones, so the
-    zero-demand rows of both classes are included."""
+    """Engine context batched over ``ENGINE_SHARES``."""
     net = _engine_nets()[request.param]
     ctx = _EngineContext(net, enumerate_paths(net), net.od_pairs)
-    ctx.set_alphas([0.0, 0.37, 1.0, 0.81])
+    ctx.set_alphas(ENGINE_SHARES)
     return ctx
 
 
@@ -458,7 +597,7 @@ def test_grouped_residuals_equal_per_od_reference(batched_engine):
         assert np.array_equal(wr, ref_wr)
         assert np.array_equal(gap, ref_gap)
         assert np.array_equal(fTH, ref_fTH)
-        assert np.array_equal(G, ctx.operator(z))
+        assert np.array_equal(G, ctx.costs(z)[4])
 
 
 def test_two_od_mixed_share_meets_closed_forms():
@@ -531,3 +670,78 @@ def test_polish_reaches_machine_precision(name, alpha):
     res = solve_equilibrium(net, inc, _share(net, alpha))
     assert res.wardrop_residual <= 1e-12
     assert res.vi_gap <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["case_a", "case_b", "example1", "example2",
+                                  "golden_parallel_seed1"])
+def test_batch_polish_reaches_machine_precision(name):
+    # every row of one lock-step batch is polished in the same system
+    net = bundled(name)
+    inc = enumerate_paths(net)
+    batch = solve_equilibrium_batch(net, inc, net.od_pairs[0],
+                                    np.linspace(0.0, 1.0, 11))
+    for res in batch:
+        assert res.wardrop_residual <= 1e-12
+        assert res.vi_gap <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched polish against the per-row reference
+# ---------------------------------------------------------------------------
+
+
+def _polish_cases():
+    return {**_engine_nets(), "two-od-closed-form": _two_od_net()}
+
+
+def _polish_batch(net):
+    """Engine context and iterates to polish: the unpolished converged
+    iterates at ``ENGINE_SHARES`` and at a fleet share too small for any
+    used fleet path (that row is left as it is), then the uniform starts
+    at the same shares, where the guard both accepts and rejects."""
+    shares = ENGINE_SHARES + [1e-9]
+    inc = enumerate_paths(net)
+    captured = {}
+
+    def capture(ctx, z, rows):
+        captured.update(z=z, rows=rows)
+        return z
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("routegame.equilibrium._polish", capture)
+        _solve_many(net, inc, net.od_pairs, alphas=shares, tol=1e-8,
+                    max_iters=DEFAULT_MAX_ITERS, init=None)
+    assert captured["rows"].all()
+    ctx = _EngineContext(net, inc, net.od_pairs)
+    ctx.set_alphas(shares + shares)
+    z = np.vstack([captured["z"],
+                   _uniform_start(ctx, 2 * len(shares))[len(shares):]])
+    return ctx, z, np.ones(len(z), dtype=bool)
+
+
+@pytest.mark.parametrize("name", sorted(_polish_cases()))
+def test_batched_polish_matches_per_row_reference(name):
+    ctx, z, rows = _polish_batch(_polish_cases()[name])
+    got = _polish(ctx, z, rows)
+    want = np.array([_ref_polish_row(ctx, z[i], i) for i in range(len(z))])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal((got != z).any(axis=1),
+                                  (want != z).any(axis=1))
+
+
+@pytest.mark.parametrize("name", sorted(_polish_cases()))
+def test_batched_polish_equals_polishing_each_row_alone(name):
+    ctx, z, rows = _polish_batch(_polish_cases()[name])
+    got = _polish(ctx, z, rows)
+    alone = np.array([_polish(ctx, z, np.arange(len(z)) == i)[i]
+                      for i in range(len(z))])
+    np.testing.assert_allclose(got, alone, rtol=0.0, atol=1e-12)
+    accepted = (got != z).any(axis=1)
+    np.testing.assert_array_equal(accepted, (alone != z).any(axis=1))
+    # the guard accepts some rows and rejects others, and the row without a
+    # used fleet path is never touched
+    assert accepted.any() and not accepted.all()
+    assert not accepted[len(ENGINE_SHARES)]
+    # rows left out of the selection are returned as they are
+    skip = np.arange(len(z)) % 2 == 0
+    np.testing.assert_array_equal(_polish(ctx, z, ~skip)[skip], z[skip])

@@ -100,6 +100,27 @@ def test_grid_cells_counts_the_simplex_grids():
 
 
 class TestBruteForceOptimum:
+    @pytest.mark.parametrize("case, grid_n, cells", [
+        ("example2", 2001, 1_337_337_001),
+        ("three_path", 4001, 8_006_001),
+    ])
+    def test_grid_too_large_rejected_before_building(
+            self, monkeypatch, net_example2, case, grid_n, cells):
+        def unexpected_grid(*args):
+            raise AssertionError("built a grid before checking its size")
+
+        monkeypatch.setattr("routegame.oracle._simplex_grid", unexpected_grid)
+        net = net_example2 if case == "example2" else Network(
+            nodes=("o", "d"),
+            links=tuple(Link(f"l{i}", "o", "d", DelayPoly((i, 1.0, 0.0, 0.0)))
+                        for i in range(3)),
+            od_pairs=(OdSpec("o", "d", 1.0, 0.5),),
+        )
+        with pytest.raises(ValueError, match=(
+                rf"^grid too large \({cells} cells, limit 8000000\)$")):
+            brute_force_optimum(net, enumerate_paths(net),
+                                net.od_pairs[0].demand_total, grid_n)
+
     def test_case_b(self):
         net = two_link((0.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0), 2.0)
         inc = enumerate_paths(net)
