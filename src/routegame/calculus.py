@@ -192,11 +192,25 @@ def link_jacobian(
     return p, 2.0 * p + fC * poly_eval(coeffs, F, 2)
 
 
-def corner_norms_sq(coeffs: np.ndarray, D_total: float) -> np.ndarray:
-    """Squared spectral norm of each link's Jacobian block at the corner
-    (D, D) of the box, for an (L, 4) coefficient table; Q is the square
-    root of the largest (see ``check_conditions``)."""
-    p, w = link_jacobian(coeffs, D_total, D_total)
+def jacobian_norms_sq(
+    coeffs: np.ndarray, fS: np.ndarray, fC: np.ndarray
+) -> np.ndarray:
+    """Squared spectral norm of each link's Jacobian block at the class
+    loads (fS, fC), for an (L, 4) coefficient table; the loads broadcast
+    against L along their last axis. Q is the square root of the largest
+    at the box corner (D, D) (see ``check_conditions``); at (0, D) the
+    norms q_l bound the path operator G(z) = [d A, m A] on feasible flows:
+
+    1. A feasible flow has F_l <= D and fC_l <= D, and each entry of
+       J_l = [[p, p], [w - p, w]] is non-negative and non-decreasing in F
+       and fC, so ||J_l|| <= q_l, the norm at (0, D). The feasible set is
+       convex, so the segment between two feasible flows stays in it.
+    2. G's Jacobian is B' J B with B the class-lifted incidence. For unit
+       u, v, Cauchy-Schwarz gives u'B'J B v <= sum_l q_l |(Bu)_l| |(Bv)_l|
+       <= lambda_max(A' diag(q) A), so G is Lipschitz on feasible flows
+       with L = ||diag(sqrt q) A||^2 <= Q ||A||^2.
+    """
+    p, w = link_jacobian(coeffs, fS, fC)
     v = w - p
     gram_mean = 0.5 * (2.0 * p * p + v * v + (p + v) ** 2)
     return gram_mean + np.sqrt(np.maximum(gram_mean**2 - p**4, 0.0))
@@ -248,7 +262,7 @@ def check_conditions(net: Network, D_total: float) -> ConditionsReport:
         convexity_ok=ok,
         strong_mono_ok=ok,
         c=(3.0 - math.sqrt(5.0)) / 2.0 * float(a1[worst]),
-        Q=float(np.sqrt(corner_norms_sq(coeffs, D_total).max())),
+        Q=float(np.sqrt(jacobian_norms_sq(coeffs, D_total, D_total).max())),
         convexity_margin=margin,
         strong_mono_margin=margin,
         worst_link=None if ok else net.links[worst].id,

@@ -532,6 +532,11 @@ def config_from_args(
     args = build_parser().parse_args(argv)
     if args.grid is not None and args.grid < 2:
         build_parser().error("--grid must be at least 2")
+    # a tolerance that is not positive and finite can never be met
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        build_parser().error("--tol must be positive and finite")
+    if args.max_iters < 1:
+        build_parser().error("--max-iters must be at least 1")
     return args
 
 

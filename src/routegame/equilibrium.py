@@ -20,8 +20,13 @@ batched KKT system for all converged rows of a batch, and is guarded per
 row: a row falls back to its raw iterate whenever the polish would make
 either certificate worse.
 
-The step is 0.9 / (Q * |A|^2), with Q from ``check_conditions`` on the
-network itself; a network whose conditions fail is not solved.
+The step is 0.9 / L with L = ||diag(sqrt q) A||^2, the Lipschitz constant
+of the path operator on feasible flows: q_l is the spectral norm of link
+l's Jacobian block at (fS, fC) = (0, D), D the total demand, which bounds
+the block wherever a feasible flow can load the link (proof in
+``calculus.jacobian_norms_sq``). L is at most Q * ||A||^2 with Q the box
+constant of ``check_conditions``, so the step is never smaller than one
+sized by Q. A network whose conditions fail is not solved.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .calculus import (
     LoadProfile,
     check_conditions,
     coefficient_table,
+    jacobian_norms_sq,
     link_costs,
     link_jacobian,
 )
@@ -320,6 +326,18 @@ def _uniform_start(ctx: _EngineContext, n: int) -> np.ndarray:
     return z0
 
 
+def _path_lipschitz(coeffs: np.ndarray, A: np.ndarray, D_total: float) -> float:
+    """Lipschitz constant ||diag(sqrt q) A||^2 of the path operator on
+    feasible flows, q_l the norm of link l's Jacobian block at (0, D)
+    (proof in ``jacobian_norms_sq``); infinite when a norm is not finite,
+    where the spectral norm would not converge."""
+    scaled = np.sqrt(np.sqrt(jacobian_norms_sq(coeffs, 0.0, D_total)))
+    scaled = scaled[:, None] * A
+    if not np.isfinite(scaled).all():
+        return math.inf
+    return float(np.linalg.norm(scaled, 2)) ** 2
+
+
 def _require_feasible(inc, ods, z, D_total: float) -> None:
     tol = FEASIBILITY_TOL * max(1.0, D_total)
     resid = feasibility_residual(inc, ods, z)
@@ -348,8 +366,8 @@ def _solve_many(
             raise ConditionsUnverified(
                 "strong monotonicity not certified "
                 f"(worst link {conditions.worst_link})")
-        A_norm_sq = float(np.linalg.norm(ctx.A, 2)) ** 2
-        gamma = 0.9 / max(conditions.Q * A_norm_sq, 1e-12)
+        lipschitz = _path_lipschitz(ctx.coeffs, ctx.A, ctx.D_total)
+        gamma = 0.9 / max(lipschitz, 1e-12)
     else:
         gamma = 1.0
 
@@ -432,8 +450,8 @@ def _polish(
     B = np.kron(np.eye(2), ctx.A)[:, cols]
     BS, BC = B[:L], B[L:]
 
-    def scatter(y: np.ndarray) -> np.ndarray:
-        full = np.zeros((y.shape[0], 2 * P))
+    def scatter(y: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        full = np.full((y.shape[0], 2 * P), fill)
         full[:, cols] = y
         return full
 
@@ -474,10 +492,13 @@ def _polish(
                               for j, r in zip(jac, resid)])
         x[act] -= delta
 
+    # only the used columns are projected, at -inf elsewhere: a block whose
+    # used flows sum an ulp below its demand keeps its unused paths at 0.0
     flows = x[:, :n_u]
     z_new = z.copy()
-    z_new[rows] = _project_blocks(scatter(np.maximum(flows, 0.0)),
-                                  ctx.groups, dem)
+    z_new[rows] = _project_blocks(
+        scatter(np.where(U, np.maximum(flows, 0.0), -np.inf), -np.inf),
+        ctx.groups, dem)
     wr0, gap0, _, _ = ctx.residuals(z)
     wr1, gap1, _, _ = ctx.residuals(z_new)
     accept = (wr1 <= wr0 + 1e-15) & (gap1 <= gap0 + 1e-15)

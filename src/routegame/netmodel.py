@@ -199,15 +199,23 @@ def _box_overflows(links: Sequence[Link], D: float) -> list[str]:
     coefficients, so the corner (D, D), aggregate load 2D, decides; at zero
     demand the box is the one ``check`` certifies, D = 1. A finite norm
     implies finite d' and d'' at the corner, and the modulus c is finite
-    for finite coefficients."""
-    # imported here because calculus imports this module
-    from .calculus import corner_norms_sq, link_costs
+    for finite coefficients.
 
+    With a the largest coefficient and Y = max(1, 2D), every value these
+    checks compute is at most 4e5 (a Y^3)^4 (the norm's squared Gram
+    mean, the largest), so no link can overflow when a Y^3 <= 1e60."""
     D_box = D if D > 0.0 else 1.0
+    Y = max(1.0, 2.0 * D_box)
+    a = max(max(link.delay.coefficients) for link in links)
+    if a * Y * Y * Y <= 1e60:
+        return []
+    # imported here because calculus imports this module
+    from .calculus import jacobian_norms_sq, link_costs
+
     coeffs = np.array([link.delay.coefficients for link in links])
     with np.errstate(over="ignore", invalid="ignore"):
         values = [*link_costs(coeffs, D_box, D_box),
-                  corner_norms_sq(coeffs, D_box)]
+                  jacobian_norms_sq(coeffs, D_box, D_box)]
         finite = np.isfinite(values).all(axis=0)
     return [
         f"link {link.id!r}: delay not finite on the demand box "

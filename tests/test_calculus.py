@@ -10,6 +10,7 @@ from routegame.calculus import (
     check_conditions,
     class_costs,
     coefficient_table,
+    jacobian_norms_sq,
     link_costs,
     link_delay,
     link_jacobian,
@@ -18,6 +19,7 @@ from routegame.calculus import (
     poly_eval,
     total_delay,
 )
+from routegame.equilibrium import _path_lipschitz
 from routegame.netmodel import DelayPoly, Link, Network, OdSpec
 
 
@@ -274,6 +276,49 @@ def test_closed_forms_bound_dense_grid(links, D):
     assert report.strong_mono_margin <= mono
     assert report.convexity_margin <= conv
     assert report.convexity_ok and report.strong_mono_ok
+
+
+def _triangle_block_norms(coeffs, D: float, n: int = 201) -> np.ndarray:
+    """Largest spectral norm of each link's Jacobian block over an n x n
+    grid of the feasible triangle {x, y >= 0, x + y <= D}, by the 2x2
+    formula of ``_dense_grid_extremes``."""
+    axis = np.linspace(0.0, D, n)
+    i, j = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n),
+                                             indexing="ij"))
+    keep = i + j <= n - 1
+    x, y = axis[i[keep]], axis[j[keep]]
+    F = x + y
+    out = []
+    for a0, a1, a2, a3 in coeffs:
+        p = a1 + 2.0 * a2 * F + 3.0 * a3 * F**2
+        v = p + y * (2.0 * a2 + 6.0 * a3 * F)
+        out.append((0.5 * (np.hypot(2.0 * p + v, v - p)
+                           + np.hypot(v, p + v))).max())
+    return np.array(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(links=st.lists(_link, min_size=1, max_size=3),
+       D=st.floats(1e-2, 1e2), data=st.data())
+def test_feasible_block_norms_bound_dense_triangle(links, D, data):
+    # q_l, the norm at (0, D), bounds link l's block on every feasible load,
+    # and the step constant ||diag(sqrt q) A||^2 never exceeds Q ||A||^2
+    coeffs = np.array(links)
+    q = np.sqrt(jacobian_norms_sq(coeffs, 0.0, D))
+    assert (q >= _triangle_block_norms(links, D) * (1.0 - 1e-12)).all()
+    n_paths = data.draw(st.integers(1, 4))
+    A = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=n_paths, max_size=n_paths),
+        min_size=len(links), max_size=len(links))), dtype=float)
+    net = Network(
+        nodes=("o", "d"),
+        links=tuple(Link(f"l{i + 1}", "o", "d", DelayPoly(c))
+                    for i, c in enumerate(links)),
+        od_pairs=(OdSpec("o", "d", D, 0.5),),
+    )
+    L = _path_lipschitz(coeffs, A, D)
+    assert L <= check_conditions(net, D).Q * np.linalg.norm(A, 2) ** 2 \
+        * (1.0 + 1e-12)
 
 
 def test_poly_eval_matches_scalar_api():

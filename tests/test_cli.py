@@ -368,6 +368,24 @@ def test_usage_error_exits_3_with_one_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--max-iters", "-3"), ("--max-iters", "0"), ("--tol", "nan"),
+    ("--tol", "-1"), ("--tol", "0"), ("--tol", "inf"),
+])
+def test_solver_option_that_cannot_work_exits_3(option, value, capsys):
+    # a negative count was printed as the iterations of a failed solve, and
+    # an unreachable tolerance ran every iteration before exiting 2
+    with pytest.raises(SystemExit) as stop:
+        main(["solve", "--network", str(NETWORKS / "case_b.json"),
+              option, value])
+    captured = capsys.readouterr()
+    assert stop.value.code == EXIT_IO
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {option} "), \
+        captured.err
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["--help"])

@@ -9,16 +9,21 @@ from conftest import bundled, two_link
 from routegame.calculus import (
     FlowProfile,
     check_conditions,
+    coefficient_table,
     link_costs,
     link_delay,
     marginal_delay,
     poly_eval,
 )
+from routegame.cli import gen_random_parallel
 from routegame.equilibrium import (
     DEFAULT_MAX_ITERS,
+    FEASIBILITY_TOL,
+    SUPPORT_EPS,
     ConditionsUnverified,
     NotConverged,
     _EngineContext,
+    _path_lipschitz,
     _polish,
     _project_blocks,
     _solve_many,
@@ -745,3 +750,100 @@ def test_batched_polish_equals_polishing_each_row_alone(name):
     # rows left out of the selection are returned as they are
     skip = np.arange(len(z)) % 2 == 0
     np.testing.assert_array_equal(_polish(ctx, z, ~skip)[skip], z[skip])
+
+
+# ---------------------------------------------------------------------------
+# step size and the flows the polish leaves off the support
+# ---------------------------------------------------------------------------
+
+
+def _grid_net(n: int = 4, seed: int = 3) -> Network:
+    """n x n grid, links pointing right and down, one OD pair between
+    opposite corners (20 paths at n = 4), coefficients drawn as ``gen``
+    draws them."""
+    rng = np.random.default_rng(seed)
+    links = []
+    for i in range(n):
+        for j in range(n):
+            for di, dj in ((0, 1), (1, 0)):
+                if i + di < n and j + dj < n:
+                    links.append(Link(
+                        f"e{len(links) + 1}", f"v{i}_{j}",
+                        f"v{i + di}_{j + dj}",
+                        DelayPoly((rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0),
+                                   rng.uniform(0.0, 0.5),
+                                   rng.uniform(0.0, 0.1)))))
+    return Network(
+        nodes=tuple(f"v{i}_{j}" for i in range(n) for j in range(n)),
+        links=tuple(links),
+        od_pairs=(OdSpec("v0_0", f"v{n - 1}_{n - 1}", 3.0, 0.0),),
+    )
+
+
+def _lipschitz_nets():
+    nets = {name: bundled(name) for name in (
+        "case_a", "case_b", "example1", "example2", "golden_parallel_seed1")}
+    return {**nets, "two-od-closed-form": _two_od_net(), "grid-4x4": _grid_net()}
+
+
+@pytest.mark.parametrize("name", sorted(_lipschitz_nets()))
+def test_step_constant_bounds_the_path_operator_on_feasible_flows(name):
+    net = _lipschitz_nets()[name]
+    inc = enumerate_paths(net)
+    D = net.total_demand()
+    L = _path_lipschitz(coefficient_table(net), inc.matrix, D)
+    box = check_conditions(net, D).Q * np.linalg.norm(inc.matrix, 2) ** 2
+    assert 0.0 < L <= box * (1.0 + 1e-12)
+    rng = np.random.default_rng(17)
+    for alpha in (0.0, 0.3, 1.0):
+        ods = _share(net, alpha)
+        ctx = _EngineContext(net, inc, ods)
+        for scale in (0.01, 1.0, 100.0):
+            # pairs far apart, and pairs close together, where the ratio
+            # approaches the local Jacobian norm
+            y = rng.normal(0.0, scale * D, size=(100, 2 * inc.n_paths))
+            y2 = np.concatenate([
+                rng.normal(0.0, scale * D, size=(50, 2 * inc.n_paths)),
+                y[50:] + rng.normal(0.0, 1e-3 * D, size=(50, 2 * inc.n_paths)),
+            ])
+            z = np.array([project_feasible(inc, ods, v).stacked() for v in y])
+            z2 = np.array([project_feasible(inc, ods, v).stacked() for v in y2])
+            G, G2 = ctx.costs(z)[4], ctx.costs(z2)[4]
+            dG = np.linalg.norm(G - G2, axis=1)
+            dz = np.linalg.norm(z - z2, axis=1)
+            # plus the rounding of G itself, for pairs an ulp apart
+            rounding = 1e-14 * np.abs(np.concatenate([G, G2], axis=1)).max()
+            assert (dG <= L * dz * (1.0 + 1e-12) + rounding).all()
+
+
+def test_step_constant_keeps_example2_iterations_low():
+    # the feasible-load constant takes example2 at 0.3 in 955 iterations;
+    # a step sized by the box constant Q |A|^2 took 8,515
+    net = bundled("example2")
+    res = solve_equilibrium(net, enumerate_paths(net), _share(net, 0.3))
+    assert res.iterations < 1500
+
+
+def _assert_zero_off_support(inc, ods, res):
+    z = res.z_star.stacked()
+    off = z <= SUPPORT_EPS * sum(od.demand_total for od in ods)
+    assert (z[off] == 0.0).all(), z[off]
+    assert feasibility_residual(inc, ods, res.z_star) <= FEASIBILITY_TOL
+    assert res.wardrop_residual <= 1e-12
+    assert res.vi_gap <= 1e-12
+
+
+def test_polish_keeps_flows_off_the_support_at_zero():
+    # projecting whole blocks after the polish gave every unused path about
+    # one ulp of the demand over the block width whenever the polished used
+    # flows summed an ulp below the demand (gen seed 7 sweep rows)
+    net = gen_random_parallel(7, 20, 10.0)
+    inc = enumerate_paths(net)
+    shares = np.linspace(0.0, 1.0, 11)
+    batch = solve_equilibrium_batch(net, inc, net.od_pairs[0], shares)
+    for alpha, res in zip(shares, batch):
+        _assert_zero_off_support(inc, _share(net, alpha), res)
+    net = bundled("example2")
+    inc = enumerate_paths(net)
+    ods = _share(net, 0.3)
+    _assert_zero_off_support(inc, ods, solve_equilibrium(net, inc, ods))

@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import single_link, two_link
-from routegame.calculus import FlowProfile, link_delay
+from routegame.calculus import (
+    FlowProfile,
+    coefficient_table,
+    jacobian_norms_sq,
+    link_costs,
+    link_delay,
+)
 from routegame.netmodel import (
     DelayPoly,
     Link,
     Network,
     OdSpec,
     PathCountExceeded,
+    _box_overflows,
     enumerate_paths,
     feasibility_residual,
     validate_network,
@@ -94,6 +101,27 @@ class TestValidate:
         net = two_link((0.0, 1e308, 1e308, 1e308), (1.0, 1.0, 0.0, 0.0),
                        float("inf"))
         assert validate_network(net) == ["od pair 0: demand must be finite"]
+
+    @pytest.mark.parametrize("D", [0.0, 1e-3, 2.0, 7.5, 1e6])
+    def test_box_shortcut_agrees_with_the_link_check(self, D):
+        # the scalar bound may skip only networks that cannot overflow;
+        # coefficients around and above its threshold go to the per-link
+        # check, whose verdict is recomputed here
+        D_box = D if D > 0.0 else 1.0
+        for exponent in range(40, 309):
+            for j in range(4):
+                coeffs = [0.5, 1.0, 0.1, 0.01]
+                coeffs[j] = 10.0**exponent
+                net = two_link(tuple(coeffs), (1.0, 1.0, 0.0, 0.0), D)
+                table = coefficient_table(net)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values = [*link_costs(table, D_box, D_box),
+                              jacobian_norms_sq(table, D_box, D_box)]
+                    bad = ~np.isfinite(values).all(axis=0)
+                got = _box_overflows(net.links, D)
+                assert [m.split(":")[0] for m in got] == \
+                    [f"link {link.id!r}" for link, b in zip(net.links, bad)
+                     if b]
 
     def test_large_finite_coefficients_pass(self):
         net = two_link((1e300, 1e10, 1e5, 1e3), (1.0, 1.0, 0.0, 0.0), 2.0)
