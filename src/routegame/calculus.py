@@ -198,13 +198,16 @@ def jacobian_norms_sq(
     """Squared spectral norm of each link's Jacobian block at the class
     loads (fS, fC), for an (L, 4) coefficient table; the loads broadcast
     against L along their last axis. Q is the square root of the largest
-    at the box corner (D, D) (see ``check_conditions``); at (0, D) the
-    norms q_l bound the path operator G(z) = [d A, m A] on feasible flows:
+    at the box corner (D, D) (see ``check_conditions``); at
+    (D - D_C, D_C), with D the total demand and D_C <= D a bound on the
+    fleet demand, the norms q_l bound the path operator G(z) = [d A, m A]
+    on feasible flows:
 
-    1. A feasible flow has F_l <= D and fC_l <= D, and each entry of
+    1. A feasible flow has F_l <= D and fC_l <= D_C, and each entry of
        J_l = [[p, p], [w - p, w]] is non-negative and non-decreasing in F
-       and fC, so ||J_l|| <= q_l, the norm at (0, D). The feasible set is
-       convex, so the segment between two feasible flows stays in it.
+       and fC, so ||J_l|| <= q_l, the norm at F = D, fC = D_C. The
+       feasible set is convex, so the segment between two feasible flows
+       stays in it.
     2. G's Jacobian is B' J B with B the class-lifted incidence. For unit
        u, v, Cauchy-Schwarz gives u'B'J B v <= sum_l q_l |(Bu)_l| |(Bv)_l|
        <= lambda_max(A' diag(q) A), so G is Lipschitz on feasible flows

@@ -11,8 +11,8 @@ error only.
 
 Exit codes: 0 success, 1 assumption violation (e.g. monotonicity on a
 non-parallel network without --exploratory, failed operator conditions,
-or oracle-compare beyond one OD pair, three paths or the oracle's grid
-size), 2 solver
+more paths than explicit enumeration allows, or oracle-compare beyond one
+OD pair, three paths or the oracle's grid size), 2 solver
 non-convergence (also when any share of a sweep did not converge), 3 usage
 error, I/O, parse or validation failure, explained on a single stderr
 line.
@@ -47,6 +47,7 @@ from .netmodel import (
     Link,
     Network,
     OdSpec,
+    PathCountExceeded,
     enumerate_paths,
     validate_network,
 )
@@ -352,7 +353,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    net, _ = _load(args)
+    net = parse_network_file(args.network_path)
     D = net.total_demand()
     report = check_conditions(net, D if D > 0 else 1.0)
     payload = dataclasses.asdict(report)
@@ -485,7 +486,8 @@ def run(args: argparse.Namespace) -> int:
     except (NetworkFormatError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_IO
-    except (analysis.AssumptionViolated, ConditionsUnverified) as exc:
+    except (analysis.AssumptionViolated, ConditionsUnverified,
+            PathCountExceeded) as exc:
         _log(f"assumption violated: {exc}")
         return EXIT_ASSUMPTION
     except NotConverged as exc:

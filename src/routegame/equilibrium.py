@@ -22,11 +22,13 @@ either certificate worse.
 
 The step is 0.9 / L with L = ||diag(sqrt q) A||^2, the Lipschitz constant
 of the path operator on feasible flows: q_l is the spectral norm of link
-l's Jacobian block at (fS, fC) = (0, D), D the total demand, which bounds
-the block wherever a feasible flow can load the link (proof in
-``calculus.jacobian_norms_sq``). L is at most Q * ||A||^2 with Q the box
-constant of ``check_conditions``, so the step is never smaller than one
-sized by Q. A network whose conditions fail is not solved.
+l's Jacobian block at (fS, fC) = (D - D_C, D_C), D the total demand and D_C
+the largest fleet demand of any row of the batch, which bounds the block
+wherever a feasible flow can load the link (proof in
+``calculus.jacobian_norms_sq``). One step serves the whole batch; at
+fleet share 1 it is the constant at (0, D). L is at most Q * ||A||^2 with
+Q the box constant of ``check_conditions``, so the step is never smaller
+than one sized by Q. A network whose conditions fail is not solved.
 """
 
 from __future__ import annotations
@@ -326,12 +328,17 @@ def _uniform_start(ctx: _EngineContext, n: int) -> np.ndarray:
     return z0
 
 
-def _path_lipschitz(coeffs: np.ndarray, A: np.ndarray, D_total: float) -> float:
-    """Lipschitz constant ||diag(sqrt q) A||^2 of the path operator on
-    feasible flows, q_l the norm of link l's Jacobian block at (0, D)
-    (proof in ``jacobian_norms_sq``); infinite when a norm is not finite,
-    where the spectral norm would not converge."""
-    scaled = np.sqrt(np.sqrt(jacobian_norms_sq(coeffs, 0.0, D_total)))
+def _path_lipschitz(
+    coeffs: np.ndarray, A: np.ndarray, D_total: float, D_fleet: float
+) -> float:
+    """Lipschitz constant ||diag(sqrt q) A||^2 of the path operator on flows
+    of total demand D_total and fleet demand at most D_fleet, q_l the norm
+    of link l's Jacobian block at (D_total - D_fleet, D_fleet) (proof in
+    ``jacobian_norms_sq``); infinite when a norm is not finite, where the
+    spectral norm would not converge."""
+    D_fleet = min(D_fleet, D_total)
+    scaled = np.sqrt(np.sqrt(
+        jacobian_norms_sq(coeffs, D_total - D_fleet, D_fleet)))
     scaled = scaled[:, None] * A
     if not np.isfinite(scaled).all():
         return math.inf
@@ -366,7 +373,8 @@ def _solve_many(
             raise ConditionsUnverified(
                 "strong monotonicity not certified "
                 f"(worst link {conditions.worst_link})")
-        lipschitz = _path_lipschitz(ctx.coeffs, ctx.A, ctx.D_total)
+        D_fleet = float(ctx.dem[:, ctx.K:].sum(axis=1).max())
+        lipschitz = _path_lipschitz(ctx.coeffs, ctx.A, ctx.D_total, D_fleet)
         gamma = 0.9 / max(lipschitz, 1e-12)
     else:
         gamma = 1.0

@@ -278,14 +278,15 @@ def test_closed_forms_bound_dense_grid(links, D):
     assert report.convexity_ok and report.strong_mono_ok
 
 
-def _triangle_block_norms(coeffs, D: float, n: int = 201) -> np.ndarray:
+def _trapezoid_block_norms(coeffs, D: float, D_C: float,
+                           n: int = 201) -> np.ndarray:
     """Largest spectral norm of each link's Jacobian block over an n x n
-    grid of the feasible triangle {x, y >= 0, x + y <= D}, by the 2x2
-    formula of ``_dense_grid_extremes``."""
+    grid of the feasible trapezoid {x, y >= 0, x + y <= D, y <= D_C}, by
+    the 2x2 formula of ``_dense_grid_extremes``."""
     axis = np.linspace(0.0, D, n)
     i, j = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n),
                                              indexing="ij"))
-    keep = i + j <= n - 1
+    keep = (i + j <= n - 1) & (axis[j] <= D_C)
     x, y = axis[i[keep]], axis[j[keep]]
     F = x + y
     out = []
@@ -301,11 +302,13 @@ def _triangle_block_norms(coeffs, D: float, n: int = 201) -> np.ndarray:
 @given(links=st.lists(_link, min_size=1, max_size=3),
        D=st.floats(1e-2, 1e2), data=st.data())
 def test_feasible_block_norms_bound_dense_triangle(links, D, data):
-    # q_l, the norm at (0, D), bounds link l's block on every feasible load,
-    # and the step constant ||diag(sqrt q) A||^2 never exceeds Q ||A||^2
+    # q_l, the norm at (D - D_C, D_C), bounds link l's block on every
+    # feasible load of fleet demand at most D_C, and the step constant
+    # ||diag(sqrt q) A||^2 never exceeds Q ||A||^2
     coeffs = np.array(links)
-    q = np.sqrt(jacobian_norms_sq(coeffs, 0.0, D))
-    assert (q >= _triangle_block_norms(links, D) * (1.0 - 1e-12)).all()
+    D_C = data.draw(st.one_of(st.just(0.0), st.just(D), st.floats(0.0, D)))
+    q = np.sqrt(jacobian_norms_sq(coeffs, D - D_C, D_C))
+    assert (q >= _trapezoid_block_norms(links, D, D_C) * (1.0 - 1e-12)).all()
     n_paths = data.draw(st.integers(1, 4))
     A = np.array(data.draw(st.lists(
         st.lists(st.booleans(), min_size=n_paths, max_size=n_paths),
@@ -316,7 +319,7 @@ def test_feasible_block_norms_bound_dense_triangle(links, D, data):
                     for i, c in enumerate(links)),
         od_pairs=(OdSpec("o", "d", D, 0.5),),
     )
-    L = _path_lipschitz(coeffs, A, D)
+    L = _path_lipschitz(coeffs, A, D, D_C)
     assert L <= check_conditions(net, D).Q * np.linalg.norm(A, 2) ** 2 \
         * (1.0 + 1e-12)
 

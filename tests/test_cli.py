@@ -22,7 +22,7 @@ from routegame.cli import (
     network_to_dict,
     parse_network_file,
 )
-from routegame.netmodel import enumerate_paths
+from routegame.netmodel import DelayPoly, Link, Network, OdSpec, enumerate_paths
 
 REPO = Path(__file__).resolve().parents[1]
 NETWORKS = REPO / "networks"
@@ -301,6 +301,45 @@ class TestCommands:
         assert code == EXIT_IO
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
         assert "delay not finite on the demand box" in lines[0]
+
+    @pytest.fixture
+    def grid_9x9_file(self, tmp_path):
+        # links point right and down; corner to corner there are
+        # C(16, 8) = 12,870 paths, over the enumeration cap
+        n = 9
+        links = [
+            Link(f"e{i}_{j}_{di}", f"v{i}_{j}", f"v{i + di}_{j + 1 - di}",
+                 DelayPoly((1.0, 1.0, 0.0, 0.0)))
+            for i in range(n) for j in range(n) for di in (0, 1)
+            if i + di < n and j + 1 - di < n
+        ]
+        net = Network(
+            nodes=tuple(f"v{i}_{j}" for i in range(n) for j in range(n)),
+            links=tuple(links),
+            od_pairs=(OdSpec("v0_0", f"v{n - 1}_{n - 1}", 1.0, 0.5),),
+            name="grid-9x9",
+        )
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(network_to_dict(net)))
+        return str(path)
+
+    def test_check_needs_no_path_enumeration(self, grid_9x9_file, capsys):
+        code = main(["check", "--network", grid_9x9_file])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert json.loads(captured.out)["strong_mono_ok"] is True
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("command", ["solve", "optimum", "sweep"])
+    def test_too_many_paths_exits_1_with_one_line(self, command,
+                                                  grid_9x9_file, capsys):
+        code = main([command, "--network", grid_9x9_file])
+        captured = capsys.readouterr()
+        assert code == EXIT_ASSUMPTION
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("assumption violated: path enumeration")
 
     def test_gen_command_deterministic(self, tmp_path):
         out1 = tmp_path / "g1.json"
