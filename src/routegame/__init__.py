@@ -7,53 +7,37 @@ equilibrium along fleet-share sweeps: critical share, Lipschitz bounds and
 monotonicity on parallel networks.
 """
 
-from .analysis import (
-    AssumptionViolated,
-    CriticalShareReport,
-    MonotonicityReport,
-    SupportSets,
-    SweepRecord,
-    compute_supports,
-    construct_scaled_equilibrium,
-    detect_critical_share,
-    empirical_lipschitz,
-    monotonicity_report,
-    sweep_alpha,
-)
-from .calculus import (
-    ConditionsReport,
-    FlowProfile,
-    LoadProfile,
-    check_conditions,
-    class_costs,
-    link_delay,
-    marginal_delay,
-    operator_H,
-    total_delay,
-)
-from .equilibrium import (
-    ConditionsUnverified,
-    EquilibriumResult,
-    NotConverged,
-    project_feasible,
-    solve_equilibrium,
-    solve_equilibrium_batch,
-    vi_gap,
-    wardrop_residual,
-)
-from .netmodel import (
-    DelayPoly,
-    IncidenceStructure,
-    Link,
-    Network,
-    OdSpec,
-    PathCountExceeded,
-    enumerate_paths,
-    feasibility_residual,
-    validate_network,
-)
-from .oracle import brute_force_equilibrium, brute_force_optimum
-from .sysopt import price_of_anarchy, solve_system_optimum
+import importlib
+
+# home module of each exported name; ``__getattr__`` imports it on first
+# access (PEP 562), so ``import routegame`` loads no numpy
+_HOMES = {
+    **dict.fromkeys((
+        "AssumptionViolated", "CriticalShareReport", "MonotonicityReport",
+        "SupportSets", "SweepRecord", "compute_supports",
+        "construct_scaled_equilibrium", "detect_critical_share",
+        "empirical_lipschitz", "monotonicity_report", "sweep_alpha",
+    ), "analysis"),
+    **dict.fromkeys((
+        "ConditionsReport", "FlowProfile", "LoadProfile", "check_conditions",
+        "class_costs", "link_delay", "marginal_delay", "operator_H",
+        "total_delay",
+    ), "calculus"),
+    **dict.fromkeys((
+        "ConditionsUnverified", "EquilibriumResult", "NotConverged",
+        "project_feasible", "solve_equilibrium", "solve_equilibrium_batch",
+        "vi_gap", "wardrop_residual",
+    ), "equilibrium"),
+    **dict.fromkeys((
+        "DelayPoly", "IncidenceStructure", "Link", "Network", "OdSpec",
+        "PathCountExceeded", "enumerate_paths", "feasibility_residual",
+        "validate_network",
+    ), "netmodel"),
+    **dict.fromkeys(
+        ("brute_force_equilibrium", "brute_force_optimum"), "oracle"),
+    **dict.fromkeys(
+        ("price_of_anarchy", "solve_system_optimum"), "sysopt"),
+}
 
 __all__ = [
     "AssumptionViolated",
@@ -100,3 +84,16 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{home}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -9,38 +9,31 @@ floating-point output uses 12 significant digits, so identical inputs
 produce byte-identical outputs. Progress and diagnostics go to standard
 error only.
 
+The parser, file handling and formatting here need no numpy; the
+commands that compute import numpy and the numeric layers on first use
+(``_layers``), so ``--help``, usage errors and ``validate`` start without
+it.
+
 Exit codes: 0 success, 1 assumption violation (e.g. monotonicity on a
 non-parallel network without --exploratory, failed operator conditions,
 more paths than explicit enumeration allows, or oracle-compare beyond one
 OD pair, three paths or the oracle's grid size), 2 solver
 non-convergence (also when any share of a sweep did not converge), 3 usage
-error, I/O, parse or validation failure, explained on a single stderr
-line.
+error, I/O, parse or validation failure (also a ``gen`` demand that would
+make the drawn network invalid), explained on a single stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
+import types
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import analysis, oracle
-from .calculus import (
-    check_conditions,
-    coefficient_table,
-    link_costs,
-    total_delay,
-)
-from .equilibrium import (
-    ConditionsUnverified,
-    NotConverged,
-    solve_equilibrium,
-)
 from .netmodel import (
     DelayPoly,
     IncidenceStructure,
@@ -51,7 +44,6 @@ from .netmodel import (
     enumerate_paths,
     validate_network,
 )
-from .sysopt import solve_system_optimum
 
 EXIT_OK = 0
 EXIT_ASSUMPTION = 1
@@ -61,6 +53,22 @@ EXIT_IO = 3
 
 class NetworkFormatError(ValueError):
     """Malformed or invalid network description file."""
+
+
+def _layers() -> types.SimpleNamespace:
+    """numpy and the numeric layers, imported on the first call.
+
+    Only the commands that compute call this, so the parser, usage errors,
+    ``validate`` and the file handling and formatting below start without
+    numpy. Functions are looked up on their home modules at call time.
+    """
+    import numpy
+
+    from . import analysis, calculus, equilibrium, oracle, sysopt
+
+    return types.SimpleNamespace(
+        np=numpy, analysis=analysis, calculus=calculus,
+        equilibrium=equilibrium, oracle=oracle, sysopt=sysopt)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +205,14 @@ def gen_random_parallel(seed: int, n_links: int, D: float) -> Network:
     """Random valid parallel network from a seeded PCG64 generator.
 
     Coefficients are uniform draws a0 in [0, 2], a1 in [0.1, 2],
-    a2 in [0, 0.5], a3 in [0, 0.1] per link. Every draw is valid and
-    satisfies the operator conditions, since a1 >= 0.1 exceeds
-    ``calculus.STRICTNESS_TOL``.
+    a2 in [0, 0.5], a3 in [0, 0.1] per link. Every draw satisfies the
+    operator conditions, since a1 >= 0.1 exceeds
+    ``calculus.STRICTNESS_TOL``. A demand so large that some delay
+    overflows on the demand box gives an invalid network and raises
+    ValueError.
     """
+    import numpy as np
+
     if n_links < 2:
         raise ValueError("a parallel instance needs at least 2 links")
     if not (math.isfinite(D) and D >= 0.0):
@@ -212,11 +224,16 @@ def gen_random_parallel(seed: int, n_links: int, D: float) -> Network:
                   rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.1))
         links.append(Link(id=f"l{i + 1}", tail="o", head="d",
                           delay=DelayPoly(coeffs)))
-    return Network(
+    net = Network(
         nodes=("o", "d"), links=tuple(links),
         od_pairs=(OdSpec("o", "d", float(D), 0.5),),
         name=f"parallel-s{seed}-n{n_links}",
     )
+    report = validate_network(net)
+    if report:
+        raise ValueError(
+            f"demand {D:g} gives an invalid network: " + "; ".join(report))
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +258,10 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, frozenset):
         return sorted(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return _num(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if hasattr(obj, "tolist"):  # numpy array or scalar
+        return _jsonable(obj.tolist())
+    if isinstance(obj, float):
+        return _num(obj)
     return obj
 
 
@@ -285,13 +300,14 @@ def _ods_with_alpha(net: Network, alpha: Optional[float]):
 
 
 def _solve_payload(net, inc, result) -> dict:
+    calculus = _layers().calculus
     F = result.f_star.F
-    d, m = link_costs(coefficient_table(net), result.f_star.fS,
-                      result.f_star.fC)
+    d, m = calculus.link_costs(calculus.coefficient_table(net),
+                               result.f_star.fS, result.f_star.fC)
     return {
         "theta": result.theta,
         "mu": result.mu,
-        "total_delay": total_delay(net, result.f_star),
+        "total_delay": calculus.total_delay(net, result.f_star),
         "wardrop_residual": result.wardrop_residual,
         "vi_gap": result.vi_gap,
         "iterations": result.iterations,
@@ -315,10 +331,11 @@ def _sweep_csv(net: Network, records) -> str:
         header.extend(
             f"{q}_{link.id}" for q in ("fS", "fC", "F", "d", "m"))
     lines = [",".join(header)]
-    coeffs = coefficient_table(net)
+    calculus = _layers().calculus
+    coeffs = calculus.coefficient_table(net)
     for rec in records:
         F = rec.f_star.F
-        d, m = link_costs(coeffs, rec.f_star.fS, rec.f_star.fC)
+        d, m = calculus.link_costs(coeffs, rec.f_star.fS, rec.f_star.fC)
         row = [_fmt(rec.alpha), _fmt(rec.poa), _fmt(rec.total_delay),
                _fmt(rec.theta), _fmt(rec.mu),
                "true" if rec.converged else "false"]
@@ -332,9 +349,10 @@ def _sweep_csv(net: Network, records) -> str:
 def _run_sweep(args: argparse.Namespace, net, inc):
     """Sweep records over the configured grid and the exit code: 2, with
     one warning line, when some share did not converge."""
+    layers = _layers()
     grid_n = args.grid if args.grid else 101
-    grid = np.linspace(0.0, 1.0, grid_n)
-    records = analysis.sweep_alpha(
+    grid = layers.np.linspace(0.0, 1.0, grid_n)
+    records = layers.analysis.sweep_alpha(
         net, inc, grid=grid, tol=args.tol, max_iters=args.max_iters)
     if all(rec.converged for rec in records):
         return records, EXIT_OK
@@ -355,7 +373,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     net = parse_network_file(args.network_path)
     D = net.total_demand()
-    report = check_conditions(net, D if D > 0 else 1.0)
+    report = _layers().calculus.check_conditions(net, D if D > 0 else 1.0)
     payload = dataclasses.asdict(report)
     _emit_json(payload, args.out)
     ok = report.convexity_ok and report.strong_mono_ok
@@ -365,10 +383,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     net, inc = _load(args)
     ods = _ods_with_alpha(net, args.alpha)
+    equilibrium = _layers().equilibrium
     try:
-        result = solve_equilibrium(
+        result = equilibrium.solve_equilibrium(
             net, inc, ods, tol=args.tol, max_iters=args.max_iters)
-    except NotConverged as exc:
+    except equilibrium.NotConverged as exc:
         _emit_json(_solve_payload(net, inc, exc.result), args.out)
         return EXIT_NOT_CONVERGED
     _emit_json(_solve_payload(net, inc, result), args.out)
@@ -377,7 +396,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_optimum(args: argparse.Namespace) -> int:
     net, inc = _load(args)
-    F, T = solve_system_optimum(net, inc, net.od_pairs)
+    F, T = _layers().sysopt.solve_system_optimum(net, inc, net.od_pairs)
     payload = {
         "total_delay_min": T,
         "links": [{"id": link.id, "F": F[l]}
@@ -399,7 +418,7 @@ def _cmd_critical_share(args: argparse.Namespace) -> int:
     records, code = _run_sweep(args, net, inc)
     if code != EXIT_OK:
         return code
-    report = analysis.detect_critical_share(
+    report = _layers().analysis.detect_critical_share(
         net, inc, records, solver_tol=args.tol)
     _emit_json(dataclasses.asdict(report), args.out)
     return EXIT_OK
@@ -410,7 +429,7 @@ def _cmd_monotonicity(args: argparse.Namespace) -> int:
     records, code = _run_sweep(args, net, inc)
     if code != EXIT_OK:
         return code
-    report = analysis.monotonicity_report(
+    report = _layers().analysis.monotonicity_report(
         records, net, slack=10.0 * args.tol,
         exploratory=args.exploratory)
     payload = dataclasses.asdict(report)
@@ -420,6 +439,8 @@ def _cmd_monotonicity(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> int:
+    layers = _layers()
+    analysis, oracle = layers.analysis, layers.oracle
     net, inc = _load(args)
     ods = _ods_with_alpha(net, args.alpha)
     if len(ods) != 1 or inc.n_paths > oracle.MAX_PATHS:
@@ -433,14 +454,14 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
         raise analysis.AssumptionViolated(
             f"oracle-compare grid of {cells} cells exceeds the oracle's "
             f"limit of {oracle.MAX_GRID_CELLS} (use a smaller --grid)")
-    result = solve_equilibrium(
+    result = layers.equilibrium.solve_equilibrium(
         net, inc, ods, tol=args.tol, max_iters=args.max_iters)
     oracle_load, certificate = oracle.brute_force_equilibrium(
         net, inc, ods, grid_n)
-    F_opt, T_opt = solve_system_optimum(net, inc, ods)
+    F_opt, T_opt = layers.sysopt.solve_system_optimum(net, inc, ods)
     F_oracle, T_oracle = oracle.brute_force_optimum(
         net, inc, net.total_demand(), grid_n)
-    load_delta = float(np.max(np.abs(
+    load_delta = float(layers.np.max(layers.np.abs(
         result.f_star.stacked() - oracle_load.stacked())))
     payload = {
         "grid_n": grid_n,
@@ -486,11 +507,15 @@ def run(args: argparse.Namespace) -> int:
     except (NetworkFormatError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_IO
-    except (analysis.AssumptionViolated, ConditionsUnverified,
+    # an except clause is evaluated only when the error reaches it; the
+    # errors that get past the one above come from the commands that
+    # compute, so loading the layers here costs the front end nothing
+    except (_layers().analysis.AssumptionViolated,
+            _layers().equilibrium.ConditionsUnverified,
             PathCountExceeded) as exc:
         _log(f"assumption violated: {exc}")
         return EXIT_ASSUMPTION
-    except NotConverged as exc:
+    except _layers().equilibrium.NotConverged as exc:
         _log(f"not converged: {exc}")
         return EXIT_NOT_CONVERGED
 
@@ -503,7 +528,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_IO, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after
+    it; each ``parse_args`` call returns a new namespace."""
     parser = _Parser(
         prog="routegame",
         description="Two-class routing game solver and analysis toolkit",
@@ -531,14 +559,15 @@ def config_from_args(
     argv: Optional[Sequence[str]] = None,
 ) -> argparse.Namespace:
     """Parse the command line; usage errors exit 3 with one stderr line."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.grid is not None and args.grid < 2:
-        build_parser().error("--grid must be at least 2")
+        parser.error("--grid must be at least 2")
     # a tolerance that is not positive and finite can never be met
     if not (math.isfinite(args.tol) and args.tol > 0.0):
-        build_parser().error("--tol must be positive and finite")
+        parser.error("--tol must be positive and finite")
     if args.max_iters < 1:
-        build_parser().error("--max-iters must be at least 1")
+        parser.error("--max-iters must be at least 1")
     return args
 
 

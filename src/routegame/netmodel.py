@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+# numpy is imported where arrays are built or read, so the data model and
+# validate_network load without it
+if TYPE_CHECKING:
+    import numpy as np
 
 PATH_CAP_DEFAULT = 10_000
 
@@ -108,6 +111,8 @@ class IncidenceStructure:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         mat = np.ascontiguousarray(np.asarray(self.matrix, dtype=float))
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -209,6 +214,8 @@ def _box_overflows(links: Sequence[Link], D: float) -> list[str]:
     a = max(max(link.delay.coefficients) for link in links)
     if a * Y * Y * Y <= 1e60:
         return []
+    import numpy as np
+
     # imported here because calculus imports this module
     from .calculus import jacobian_norms_sq, link_costs
 
@@ -250,6 +257,8 @@ def enumerate_paths(net: Network, cap: int = PATH_CAP_DEFAULT) -> IncidenceStruc
     Raises PathCountExceeded when the total number of paths would exceed
     ``cap`` (the instance is too dense for explicit enumeration).
     """
+    import numpy as np
+
     out_links: dict[str, list[int]] = {}
     for idx, link in enumerate(net.links):
         out_links.setdefault(link.tail, []).append(idx)
@@ -317,6 +326,8 @@ def feasibility_residual(inc: IncidenceStructure, ods: Sequence[OdSpec], z) -> f
     most negative flow entry. The value is zero iff the flow is feasible,
     and infinite when any entry is not finite.
     """
+    import numpy as np
+
     zS = np.asarray(z.zS, dtype=float)
     zC = np.asarray(z.zC, dtype=float)
     if zS.shape != (inc.n_paths,) or zC.shape != (inc.n_paths,):

@@ -17,12 +17,20 @@ from routegame.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     NetworkFormatError,
+    config_from_args,
     gen_random_parallel,
     main,
     network_to_dict,
     parse_network_file,
 )
-from routegame.netmodel import DelayPoly, Link, Network, OdSpec, enumerate_paths
+from routegame.netmodel import (
+    DelayPoly,
+    Link,
+    Network,
+    OdSpec,
+    enumerate_paths,
+    validate_network,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 NETWORKS = REPO / "networks"
@@ -107,7 +115,6 @@ class TestGen:
 
     def test_always_valid(self):
         from routegame.calculus import check_conditions
-        from routegame.netmodel import validate_network
         for seed in range(5):
             net = gen_random_parallel(seed, 2 + seed % 4, 4.0)
             assert validate_network(net) == []
@@ -119,13 +126,23 @@ class TestGen:
         with pytest.raises(ValueError):
             gen_random_parallel(0, 1, 1.0)
 
-    @pytest.mark.parametrize("demand", ["nan", "inf", "-1"])
+    # 1e200 is finite, but the delays overflow on its demand box, so the
+    # drawn network would fail ``validate``
+    @pytest.mark.parametrize("demand", ["nan", "inf", "-1", "1e200"])
     def test_rejects_bad_demand(self, demand, capsys):
         with pytest.raises(ValueError):
             gen_random_parallel(0, 3, float(demand))
         code = main(["gen", "--links", "3", "--demand", demand])
+        captured = capsys.readouterr()
         assert code == EXIT_IO
-        assert capsys.readouterr().err.startswith("error: gen: demand")
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: gen: demand")
+
+    def test_large_demand_that_fits_stays_valid(self):
+        # past the overflow screen's fast path, yet every delay is finite
+        net = gen_random_parallel(0, 3, 1e20)
+        assert validate_network(net) == []
 
 
 class TestCommands:
@@ -260,7 +277,7 @@ class TestCommands:
         def unexpected_solve(*args, **kwargs):
             raise AssertionError("solved before checking the path count")
 
-        monkeypatch.setattr("routegame.cli.solve_equilibrium",
+        monkeypatch.setattr("routegame.equilibrium.solve_equilibrium",
                             unexpected_solve)
         code = main(["oracle-compare", "--network",
                      str(NETWORKS / "example2.json"), "--grid", "11"])
@@ -277,7 +294,7 @@ class TestCommands:
         def unexpected_solve(*args, **kwargs):
             raise AssertionError("solved before checking the grid size")
 
-        monkeypatch.setattr("routegame.cli.solve_equilibrium",
+        monkeypatch.setattr("routegame.equilibrium.solve_equilibrium",
                             unexpected_solve)
         code = main(["oracle-compare", "--network",
                      str(NETWORKS / "example1.json"), "--alpha", "0.5", *grid])
@@ -423,6 +440,24 @@ def test_solver_option_that_cannot_work_exits_3(option, value, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {option} "), \
         captured.err
+
+
+def test_parser_reuse_gives_independent_namespaces(capsys):
+    first = config_from_args(["solve", "--network", "a.json",
+                              "--alpha", "0.3", "--exploratory"])
+    second = config_from_args(["validate", "--network", "b.json"])
+    assert first is not second
+    assert (first.command, first.network_path, first.alpha,
+            first.exploratory) == ("solve", "a.json", 0.3, True)
+    assert (second.command, second.network_path, second.alpha,
+            second.exploratory) == ("validate", "b.json", None, False)
+    # a usage error after a good parse still exits 3 with one line
+    with pytest.raises(SystemExit) as stop:
+        config_from_args(["solve", "--network", "a.json", "--grid", "1"])
+    captured = capsys.readouterr()
+    assert stop.value.code == EXIT_IO
+    assert captured.err == "error: --grid must be at least 2\n"
+    assert config_from_args(["gen"]).links == 3
 
 
 def test_help_exits_0(capsys):
