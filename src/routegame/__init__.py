@@ -20,7 +20,6 @@ _HOMES = {
     ), "analysis"),
     **dict.fromkeys((
         "ConditionsReport", "FlowProfile", "LoadProfile", "check_conditions",
-        "class_costs", "link_delay", "marginal_delay", "operator_H",
         "total_delay",
     ), "calculus"),
     **dict.fromkeys((
@@ -60,17 +59,13 @@ __all__ = [
     "brute_force_equilibrium",
     "brute_force_optimum",
     "check_conditions",
-    "class_costs",
     "compute_supports",
     "construct_scaled_equilibrium",
     "detect_critical_share",
     "empirical_lipschitz",
     "enumerate_paths",
     "feasibility_residual",
-    "link_delay",
-    "marginal_delay",
     "monotonicity_report",
-    "operator_H",
     "price_of_anarchy",
     "project_feasible",
     "solve_equilibrium",

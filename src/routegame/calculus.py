@@ -1,6 +1,7 @@
-"""Delay calculus for the two-class game: link and marginal delays, the two
-players' cost functionals, the stacked game operator, and certification of
-the convexity / strong-monotonicity conditions with explicit constants.
+"""Delay calculus for the two-class game: link and marginal delays, total
+delay, the per-link Jacobian blocks of the game operator, and
+certification of the convexity / strong-monotonicity conditions with
+explicit constants.
 
 Throughout, ``fS`` is the selfish-class link load, ``fC`` the fleet link
 load, and ``F = fS + fC`` the aggregate. The fleet's first-order cost on a
@@ -19,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .netmodel import DelayPoly, Network
+from .netmodel import Network
 
 STRICTNESS_TOL = 1e-9
 
@@ -122,22 +123,6 @@ def poly_antiderivative(coeffs: np.ndarray, F: np.ndarray) -> np.ndarray:
     return F * (a0 + F * (a1 / 2.0 + F * (a2 / 3.0 + F * (a3 / 4.0))))
 
 
-def link_delay(delay: DelayPoly, F_l: float, order: int = 0) -> float:
-    """Delay d(F), first derivative d'(F) or second derivative d''(F) of a
-    single link, by Horner evaluation."""
-    if F_l < 0.0:
-        raise ValueError("link flow must be non-negative")
-    return float(poly_eval(np.array(delay.coefficients), np.float64(F_l), order))
-
-
-def marginal_delay(delay: DelayPoly, fS_l: float, fC_l: float) -> float:
-    """Fleet marginal delay d(F) + fC * d'(F) on a single link."""
-    if fS_l < 0.0 or fC_l < 0.0:
-        raise ValueError("class loads must be non-negative")
-    F = fS_l + fC_l
-    return link_delay(delay, F, 0) + fC_l * link_delay(delay, F, 1)
-
-
 def link_costs(
     coeffs: np.ndarray, fS: np.ndarray, fC: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -149,28 +134,6 @@ def link_costs(
     F = fS + fC
     d = a0 + F * (a1 + F * (a2 + F * a3))
     return d, d + fC * (a1 + F * (2.0 * a2 + F * (3.0 * a3)))
-
-
-def operator_H(net: Network, f: LoadProfile) -> np.ndarray:
-    """Stacked game operator: link delays followed by marginal delays."""
-    return np.concatenate(link_costs(coefficient_table(net), f.fS, f.fC))
-
-
-def class_costs(net: Network, f: LoadProfile) -> tuple[float, float]:
-    """Both players' cost functionals at a load profile.
-
-    The selfish class carries the Beckmann-style potential
-    sum_l integral_0^{fS_l} d_l(r + fC_l) dr (closed form via the polynomial
-    antiderivative); the fleet's cost is its total travel time
-    sum_l fC_l * d_l(F_l).
-    """
-    coeffs = coefficient_table(net)
-    F = f.F
-    U_S = float(np.sum(
-        poly_antiderivative(coeffs, F) - poly_antiderivative(coeffs, f.fC)
-    ))
-    U_C = float(np.sum(f.fC * poly_eval(coeffs, F, 0)))
-    return U_S, U_C
 
 
 def total_delay(net: Network, f: LoadProfile) -> float:

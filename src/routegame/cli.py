@@ -20,7 +20,8 @@ more paths than explicit enumeration allows, or oracle-compare beyond one
 OD pair, three paths or the oracle's grid size), 2 solver
 non-convergence (also when any share of a sweep did not converge), 3 usage
 error, I/O, parse or validation failure (also a ``gen`` demand that would
-make the drawn network invalid), explained on a single stderr line.
+make the drawn network invalid, or a ``gen`` link count above the path
+cap), explained on a single stderr line.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .netmodel import (
     Link,
     Network,
     OdSpec,
+    PATH_CAP_DEFAULT,
     PathCountExceeded,
     enumerate_paths,
     validate_network,
@@ -209,14 +211,19 @@ def gen_random_parallel(seed: int, n_links: int, D: float) -> Network:
     operator conditions, since a1 >= 0.1 exceeds
     ``calculus.STRICTNESS_TOL``. A demand so large that some delay
     overflows on the demand box gives an invalid network and raises
-    ValueError.
+    ValueError, as do fewer than 2 links and more than
+    ``PATH_CAP_DEFAULT``: each link is a path, so no solving command
+    could enumerate them.
     """
-    import numpy as np
-
     if n_links < 2:
         raise ValueError("a parallel instance needs at least 2 links")
+    if n_links > PATH_CAP_DEFAULT:
+        raise ValueError(
+            f"{n_links} links exceed the path cap of {PATH_CAP_DEFAULT}")
     if not (math.isfinite(D) and D >= 0.0):
         raise ValueError("demand must be finite and non-negative")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     links = []
     for i in range(n_links):

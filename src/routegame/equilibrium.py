@@ -20,15 +20,31 @@ batched KKT system for all converged rows of a batch, and is guarded per
 row: a row falls back to its raw iterate whenever the polish would make
 either certificate worse.
 
-The step is 0.9 / L with L = ||diag(sqrt q) A||^2, the Lipschitz constant
-of the path operator on feasible flows: q_l is the spectral norm of link
-l's Jacobian block at (fS, fC) = (D - D_C, D_C), D the total demand and D_C
+Each row of a batch steps with its own gamma by Khobotov's rule
+(Khobotov 1987; Marcotte 1991 for network equilibrium). Every row starts at
+gamma0 = 0.9 / L with L = ||diag(sqrt q) A||^2, the Lipschitz constant of
+the path operator on feasible flows: q_l is the spectral norm of link l's
+Jacobian block at (fS, fC) = (D - D_C, D_C), D the total demand and D_C
 the largest fleet demand of any row of the batch, which bounds the block
 wherever a feasible flow can load the link (proof in
-``calculus.jacobian_norms_sq``). One step serves the whole batch; at
-fleet share 1 it is the constant at (0, D). L is at most Q * ||A||^2 with
-Q the box constant of ``check_conditions``, so the step is never smaller
-than one sized by Q. A network whose conditions fail is not solved.
+``calculus.jacobian_norms_sq``). L is at most Q * ||A||^2 with Q the box
+constant of ``check_conditions``. A half step is accepted when
+
+    gamma ||G(z_half) - G(z)|| <= 0.9 ||z_half - z||;
+
+a row that fails halves its gamma, never below gamma0, and recomputes only
+its own half step. At gamma0 the test holds, since
+||G(z_half) - G(z)|| <= L ||z_half - z|| on feasible flows, so a row at
+gamma0 is accepted untested (rounding cannot keep it backtracking) and
+every backtrack ends. After each step gamma grows by 1.5, capped at the
+local estimate 0.8 ||z_half - z|| / ||G(z_half) - G(z)|| and again not
+below gamma0. Every accepted step thus lies in [gamma0, 0.9 / l_k], l_k
+the operator's Lipschitz ratio along the half step, which is the
+condition of Khobotov's convergence proof for monotone operators: G is
+monotone in path flows, as G(z) = B' H(B z) with B the class-lifted
+incidence and H strongly monotone in loads. ``iterations`` counts
+accepted steps; a step evaluates the operator 2 + (its backtracks)
+times. A network whose conditions fail is not solved.
 """
 
 from __future__ import annotations
@@ -294,7 +310,10 @@ def _project_simplex(V: np.ndarray, sums: np.ndarray) -> np.ndarray:
     u = np.sort(V, axis=-1)[..., ::-1]
     css = np.cumsum(u, axis=-1)
     j = np.arange(1, V.shape[-1] + 1, dtype=float)
-    count = (u * j > css - sums[..., None]).sum(axis=-1)
+    # the largest entry passes whenever s > 0, but a sum below its ulp
+    # rounds the test away, so such a slice keeps at least one entry
+    count = np.maximum((u * j > css - sums[..., None]).sum(axis=-1),
+                       sums > 0.0)
     # css at position count, picked exactly (every other term is zero);
     # count is 0 only on slices that map to zero
     css_at = np.where(j == count[..., None], css, 0.0).sum(axis=-1)
@@ -375,9 +394,9 @@ def _solve_many(
                 f"(worst link {conditions.worst_link})")
         D_fleet = float(ctx.dem[:, ctx.K:].sum(axis=1).max())
         lipschitz = _path_lipschitz(ctx.coeffs, ctx.A, ctx.D_total, D_fleet)
-        gamma = 0.9 / max(lipschitz, 1e-12)
+        gamma0 = 0.9 / max(lipschitz, 1e-12)
     else:
-        gamma = 1.0
+        gamma0 = 1.0
 
     groups, dem = ctx.groups, ctx.dem
     if init is not None:
@@ -390,12 +409,13 @@ def _solve_many(
     # a row whose gap is not finite can never converge and stops at once
     _, gap, _, g = ctx.residuals(z)
     active = np.isfinite(gap)
+    gamma = np.full(n, gamma0)
     iters = np.zeros(n, dtype=int)
     it = 0
     while it < max_iters and active.any():
         it += 1
-        z_half = _project_blocks(z - gamma * g, groups, dem)
-        z_new = _project_blocks(z - gamma * ctx.costs(z_half)[4], groups, dem)
+        z_new, _, _, _, gamma = _extragradient_step(
+            ctx, z, g, gamma, gamma0, active)
         z = np.where(active[:, None], z_new, z)
         wr, gap, fTH, g = ctx.residuals(z)
         ok = (wr <= tol) & (gap <= tol * (1.0 + fTH))
@@ -422,6 +442,51 @@ def _solve_many(
             converged=bool(converged[i]),
         ))
     return results
+
+
+def _extragradient_step(
+    ctx: _EngineContext,
+    z: np.ndarray,
+    g: np.ndarray,
+    gamma: np.ndarray,
+    gamma0: float,
+    rows: np.ndarray,
+):
+    """One extragradient step of every row of the batch z, g = G(z), with
+    Khobotov's step rule, one step size per row.
+
+    The half step z_half = proj(z - gamma g) is accepted when
+    gamma ||G(z_half) - g|| <= 0.9 ||z_half - z||. A selected row that
+    fails halves its gamma, but not below gamma0, and recomputes its own
+    half step; rows not in ``rows`` take their first half step as it is.
+    Returns the full step proj(z - gamma G(z_half)), the accepted half step
+    and its operator, the accepted steps and the next ones: 1.5 gamma
+    capped at the local estimate 0.8 ||z_half - z|| / ||G(z_half) - g||,
+    and never below gamma0. The operator is evaluated once per half step
+    tried.
+    """
+    groups, dem = ctx.groups, ctx.dem
+    gamma = gamma.copy()
+    z_half = _project_blocks(z - gamma[:, None] * g, groups, dem)
+    g_half = ctx.costs(z_half)[4]
+    dz = np.linalg.norm(z_half - z, axis=1)
+    dg = np.linalg.norm(g_half - g, axis=1)
+    back = rows & (gamma * dg > 0.9 * dz) & (gamma > gamma0)
+    while back.any():
+        gamma[back] = np.maximum(0.5 * gamma[back], gamma0)
+        zb = _project_blocks(z[back] - gamma[back, None] * g[back], groups,
+                             dem[back])
+        gb = ctx.costs(zb)[4]
+        z_half[back], g_half[back] = zb, gb
+        dz[back] = np.linalg.norm(zb - z[back], axis=1)
+        dg[back] = np.linalg.norm(gb - g[back], axis=1)
+        back[back] = (gamma[back] * dg[back] > 0.9 * dz[back]) & (
+            gamma[back] > gamma0)
+    z_new = _project_blocks(z - gamma[:, None] * g_half, groups, dem)
+    # a row whose operator did not move has no local estimate and holds
+    local = np.divide(0.8 * dz, dg, out=gamma.copy(), where=dg > 0.0)
+    following = np.maximum(np.minimum(1.5 * gamma, local), gamma0)
+    return z_new, z_half, g_half, gamma, following
 
 
 def _polish(

@@ -21,12 +21,7 @@ from routegame.analysis import (
     monotonicity_report,
     sweep_alpha,
 )
-from routegame.calculus import (
-    LoadProfile,
-    check_conditions,
-    class_costs,
-    operator_H,
-)
+from routegame.calculus import LoadProfile, check_conditions
 from routegame.cli import gen_random_parallel
 from routegame.equilibrium import (
     solve_equilibrium,
@@ -36,6 +31,7 @@ from routegame.equilibrium import (
 from routegame.netmodel import enumerate_paths
 from routegame.oracle import brute_force_equilibrium, brute_force_optimum
 from routegame.sysopt import solve_system_optimum
+from scalar_reference import class_costs, operator_H
 
 GRID_101 = np.linspace(0.0, 1.0, 101)
 

@@ -18,17 +18,13 @@ OPTIONS = {
     "brute_force_equilibrium": ("grid_n",),
     "brute_force_optimum": ("grid_n",),
     "check_conditions": (),
-    "class_costs": (),
     "compute_supports": (),
     "construct_scaled_equilibrium": (),
     "detect_critical_share": ("solver_tol",),
     "empirical_lipschitz": (),
     "enumerate_paths": ("cap",),
     "feasibility_residual": (),
-    "link_delay": ("order",),
-    "marginal_delay": (),
     "monotonicity_report": ("slack", "exploratory"),
-    "operator_H": (),
     "price_of_anarchy": (),
     "project_feasible": (),
     "solve_equilibrium": ("tol", "max_iters", "init"),

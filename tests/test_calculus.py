@@ -8,19 +8,16 @@ from conftest import single_link, two_link
 from routegame.calculus import (
     LoadProfile,
     check_conditions,
-    class_costs,
     coefficient_table,
     jacobian_norms_sq,
     link_costs,
-    link_delay,
     link_jacobian,
-    marginal_delay,
-    operator_H,
     poly_eval,
     total_delay,
 )
 from routegame.equilibrium import _path_lipschitz
 from routegame.netmodel import DelayPoly, Link, Network, OdSpec
+from scalar_reference import class_costs, link_delay, marginal_delay, operator_H
 
 
 class TestLinkDelay:

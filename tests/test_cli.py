@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -138,6 +141,22 @@ class TestGen:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: gen: demand")
+
+    # each link is a path, so 10,001 links drew a network that ``validate``
+    # accepts and ``solve`` rejects, and 10**11 spun in the draw loop; the
+    # fresh process bounds how long a regression can hang
+    @pytest.mark.parametrize("links", [10_001, 10**11])
+    def test_rejects_more_links_than_the_path_cap(self, links):
+        proc = subprocess.run(
+            [sys.executable, "-m", "routegame", "gen", "--links", str(links),
+             "--seed", "1"], capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        assert proc.returncode == EXIT_IO
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: gen: ")
+        with pytest.raises(ValueError, match="path cap"):
+            gen_random_parallel(1, links, 1.0)
 
     def test_large_demand_that_fits_stays_valid(self):
         # past the overflow screen's fast path, yet every delay is finite

@@ -4,6 +4,7 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bundled, two_link
 from routegame.calculus import (
@@ -12,8 +13,6 @@ from routegame.calculus import (
     coefficient_table,
     jacobian_norms_sq,
     link_costs,
-    link_delay,
-    marginal_delay,
     poly_eval,
 )
 from routegame.cli import gen_random_parallel
@@ -24,6 +23,7 @@ from routegame.equilibrium import (
     ConditionsUnverified,
     NotConverged,
     _EngineContext,
+    _extragradient_step,
     _path_lipschitz,
     _polish,
     _project_blocks,
@@ -44,6 +44,7 @@ from routegame.netmodel import (
     feasibility_residual,
 )
 from routegame.oracle import brute_force_equilibrium
+from scalar_reference import link_delay, marginal_delay, operator_H
 
 
 def _share(net, alpha):
@@ -82,6 +83,16 @@ class TestProjection:
             assert feasibility_residual(inc, ods, z) < 1e-12
             z2 = project_feasible(inc, ods, z.stacked())
             np.testing.assert_allclose(z2.stacked(), z.stacked(), atol=1e-14)
+
+    @pytest.mark.parametrize("demand", [1e-9, 1e-300])
+    def test_demand_below_the_flows_ulp_stays_feasible(self, demand):
+        # a demand below the ulp of the largest entry rounded every entry's
+        # threshold test away, and the block kept its positive parts
+        net = two_link((0.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0), demand)
+        inc = enumerate_paths(net)
+        z = project_feasible(inc, net.od_pairs, np.array([1.8, 0.9, -1.0, 0.5]))
+        assert (z.stacked() >= 0.0).all()
+        assert feasibility_residual(inc, net.od_pairs, z) <= 1e-15
 
     def test_wrong_length(self):
         _, inc, ods = self.fixture()
@@ -192,7 +203,6 @@ class TestSolveEquilibrium:
         np.testing.assert_allclose(res.f_star.F, [0.75, 0.25], atol=1e-7)
 
     def test_certificates_hold_at_solution(self):
-        from routegame.calculus import operator_H
         net, inc = self.case_b()
         ods = _share(net, 0.4)
         res = solve_equilibrium(net, inc, ods, tol=1e-8)
@@ -758,10 +768,10 @@ def test_batched_polish_equals_polishing_each_row_alone(name):
 # ---------------------------------------------------------------------------
 
 
-def _grid_net(n: int = 4, seed: int = 3) -> Network:
-    """n x n grid, links pointing right and down, one OD pair between
-    opposite corners (20 paths at n = 4), coefficients drawn as ``gen``
-    draws them."""
+def _grid_net(n: int = 4, seed: int = 3, D: float = 3.0) -> Network:
+    """n x n grid, links pointing right and down, one OD pair of demand D
+    between opposite corners (20 paths at n = 4), coefficients drawn as
+    ``gen`` draws them."""
     rng = np.random.default_rng(seed)
     links = []
     for i in range(n):
@@ -777,7 +787,7 @@ def _grid_net(n: int = 4, seed: int = 3) -> Network:
     return Network(
         nodes=tuple(f"v{i}_{j}" for i in range(n) for j in range(n)),
         links=tuple(links),
-        od_pairs=(OdSpec("v0_0", f"v{n - 1}_{n - 1}", 3.0, 0.0),),
+        od_pairs=(OdSpec("v0_0", f"v{n - 1}_{n - 1}", D, 0.0),),
     )
 
 
@@ -832,6 +842,99 @@ def test_step_constant_at_the_fleet_demand_cuts_example2_iterations():
     net = bundled("example2")
     res = solve_equilibrium(net, enumerate_paths(net), _share(net, 0.3))
     assert res.iterations < 800
+
+
+def test_adaptive_step_cuts_example2_and_gen7_iterations():
+    # the fixed step 0.9 / L took 738 (example2) and 6,394 (gen seed 7)
+    # steps at 0.3; the adaptive one takes 318 and 300
+    for net, bound in ((bundled("example2"), 400),
+                       (gen_random_parallel(7, 20, 10.0), 500)):
+        res = solve_equilibrium(net, enumerate_paths(net), _share(net, 0.3))
+        assert res.iterations < bound
+
+
+def test_adaptive_step_solves_a_5x5_grid():
+    # 70 paths on a rank-deficient incidence: the fixed step took 36,675
+    # steps, the adaptive one 4,805
+    net = _grid_net(n=5, seed=5, D=4.0)
+    inc = enumerate_paths(net)
+    res = solve_equilibrium(net, inc, _share(net, 0.3), max_iters=60_000)
+    assert res.iterations < 10_000
+
+
+@pytest.mark.parametrize("name", sorted(_engine_nets()))
+def test_batch_rows_match_solving_each_share_alone(name):
+    # each row steps with its own gamma, from a floor set by the batch's
+    # largest fleet demand, and lands where the share solved alone does
+    net = _engine_nets()[name]
+    inc = enumerate_paths(net)
+    batch = _solve_many(net, inc, net.od_pairs, alphas=ENGINE_SHARES,
+                        tol=1e-8, max_iters=DEFAULT_MAX_ITERS, init=None)
+    for alpha, res in zip(ENGINE_SHARES, batch):
+        alone = solve_equilibrium(net, inc, _share(net, alpha))
+        np.testing.assert_allclose(res.z_star.stacked(),
+                                   alone.z_star.stacked(), rtol=0.0,
+                                   atol=1e-9)
+        assert res.theta == pytest.approx(alone.theta, rel=1e-9)
+        assert res.mu == pytest.approx(alone.mu, rel=1e-9)
+
+
+_STEP_FIXTURES = ("case_a", "case_b", "example1", "example2",
+                  "golden_parallel_seed1")
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=st.one_of(
+           st.sampled_from(_STEP_FIXTURES),
+           st.tuples(st.integers(0, 2**31 - 1), st.integers(2, 6),
+                     st.floats(0.1, 10.0))),
+       shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_accepted_steps_meet_khobotov_and_stay_above_the_floor(
+        source, shares, seed):
+    net = (bundled(source) if isinstance(source, str)
+           else gen_random_parallel(*source))
+    ctx = _EngineContext(net, enumerate_paths(net), net.od_pairs)
+    ctx.set_alphas(shares)
+    n = len(shares)
+    D_fleet = float(ctx.dem[:, ctx.K:].sum(axis=1).max())
+    gamma0 = 0.9 / _path_lipschitz(ctx.coeffs, ctx.A, ctx.D_total, D_fleet)
+    rng = np.random.default_rng(seed)
+    z = _project_blocks(rng.normal(0.0, ctx.D_total, size=(n, 2 * ctx.P)),
+                        ctx.groups, ctx.dem)
+    g = ctx.costs(z)[4]
+    # from the floor to far past it, so rows both accept and backtrack
+    gamma = gamma0 * 10.0 ** rng.uniform(0.0, 4.0, size=n)
+    z_new, z_half, g_half, accepted, following = _extragradient_step(
+        ctx, z, g, gamma, gamma0, np.ones(n, dtype=bool))
+
+    assert np.array_equal(
+        z_half, _project_blocks(z - accepted[:, None] * g, ctx.groups,
+                                ctx.dem))
+    assert np.array_equal(
+        z_new, _project_blocks(z - accepted[:, None] * g_half, ctx.groups,
+                               ctx.dem))
+    dz = np.linalg.norm(z_half - z, axis=1)
+    dg = np.linalg.norm(g_half - g, axis=1)
+    # above the floor the rule itself tested these numbers; at the floor L
+    # bounds the operator, up to the rounding of G
+    above = accepted > gamma0
+    assert (accepted[above] * dg[above] <= 0.9 * dz[above]).all()
+    rounding = 1e-14 * np.abs(np.concatenate([g, g_half], axis=1)).max()
+    assert (accepted * dg
+            <= 0.9 * dz * (1.0 + 1e-12) + accepted * rounding).all()
+    assert (gamma0 <= accepted).all() and (accepted <= gamma).all()
+    assert np.isfinite(following).all()
+    assert (gamma0 <= following).all()
+    assert (following <= 1.5 * accepted).all()
+
+
+def test_non_finite_operator_bound_floors_the_step_at_zero():
+    # ``test_non_finite_costs_stop_at_once`` runs with gamma0 = 0.9 / inf
+    net = _huge_case_b()
+    coeffs, A = coefficient_table(net), enumerate_paths(net).matrix
+    with np.errstate(all="ignore"):
+        assert _path_lipschitz(coeffs, A, 2.0, 0.5) == np.inf
 
 
 @pytest.mark.parametrize("name", sorted(_lipschitz_nets()))

@@ -9,7 +9,6 @@ from routegame.calculus import (
     coefficient_table,
     jacobian_norms_sq,
     link_costs,
-    link_delay,
 )
 from routegame.netmodel import (
     DelayPoly,
@@ -22,6 +21,7 @@ from routegame.netmodel import (
     feasibility_residual,
     validate_network,
 )
+from scalar_reference import link_delay
 
 
 class TestValidate:

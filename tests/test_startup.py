@@ -57,7 +57,7 @@ def test_exports_are_listed_and_bound():
     exec("from routegame import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(routegame.__all__)
-    assert len(routegame.__all__) == 41
+    assert len(routegame.__all__) == 37
 
 
 def test_unknown_attribute_raises():
